@@ -435,11 +435,12 @@ func benchCoreCollective(b *testing.B, pol mpicore.Policy, coll string, count in
 	}
 	defer w.Close()
 	var wg sync.WaitGroup
-	fail := make(chan int, ranks)
+	codes := make([]int, ranks)
 	b.ResetTimer()
 	for r := 0; r < ranks; r++ {
+		r := r
 		wg.Add(1)
-		go func(r int) {
+		w.Spawn(r, func() {
 			defer wg.Done()
 			p := mpicore.NewProc(w, r, benchCoreConsts, benchCoreCodes, pol)
 			c := p.CommWorld
@@ -460,19 +461,19 @@ func benchCoreCollective(b *testing.B, pol mpicore.Policy, coll string, count in
 					code = p.Alltoall(a2aIn, count, it, a2aOut, count, it, c)
 				}
 				if code != 0 {
-					fail <- code
+					codes[r] = code
 					w.Close()
 					return
 				}
 			}
-		}(r)
+		})
 	}
 	wg.Wait()
 	b.StopTimer()
-	select {
-	case code := <-fail:
-		b.Fatalf("collective failed with code %d", code)
-	default:
+	for _, code := range codes {
+		if code != 0 {
+			b.Fatalf("collective failed with code %d", code)
+		}
 	}
 	virtUS := float64(w.Endpoint(0).Clock().Now()) / 1e3
 	b.ReportMetric(virtUS/float64(b.N), "virt-us/op")
@@ -534,23 +535,21 @@ func BenchmarkNativeVsShimCallPath(b *testing.B) {
 	}
 }
 
-// benchLargeWorld drives one collective on an n-rank world under the
-// given progress engine — the scale axis the event scheduler exists for.
-// At 4096 ranks the goroutine engine drowns in wakeups and allocation;
-// the event engine multiplexes all ranks over one token with batched
-// delivery and pooled envelopes, which is what makes these rank counts
-// benchable on a laptop. Reported virt-us/op is rank 0's virtual clock
-// advance per operation, as in the 8-rank gate benches.
-func benchLargeWorld(b *testing.B, mode fabric.ProgressMode, coll string, ranks, count int) {
+// benchLargeWorld drives one collective on an n-rank world — the scale
+// axis the fiber scheduler exists for: it multiplexes all ranks over one
+// token with batched delivery and pooled envelopes, which is what makes
+// these rank counts benchable on a laptop. Reported virt-us/op is rank
+// 0's virtual clock advance per operation, as in the 8-rank gate benches.
+func benchLargeWorld(b *testing.B, coll string, ranks, count int) {
 	b.Helper()
-	w, err := fabric.NewWorldMode(simnet.SingleNode(ranks), mode)
+	w, err := fabric.NewWorld(simnet.SingleNode(ranks))
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer w.Close()
 	pol := mpich.Policy()
 	var wg sync.WaitGroup
-	fail := make(chan int, ranks)
+	codes := make([]int, ranks)
 	b.ResetTimer()
 	for r := 0; r < ranks; r++ {
 		r := r
@@ -574,7 +573,7 @@ func benchLargeWorld(b *testing.B, mode fabric.ProgressMode, coll string, ranks,
 					code = p.Barrier(c)
 				}
 				if code != 0 {
-					fail <- code //mpivet:allow parksafe -- buffered to ranks and each rank sends at most once, so the send never blocks
+					codes[r] = code
 					w.Close()
 					return
 				}
@@ -583,50 +582,47 @@ func benchLargeWorld(b *testing.B, mode fabric.ProgressMode, coll string, ranks,
 	}
 	wg.Wait()
 	b.StopTimer()
-	select {
-	case code := <-fail:
-		b.Fatalf("collective failed with code %d", code)
-	default:
+	for _, code := range codes {
+		if code != 0 {
+			b.Fatalf("collective failed with code %d", code)
+		}
 	}
 	virtUS := float64(w.Endpoint(0).Clock().Now()) / 1e3
 	b.ReportMetric(virtUS/float64(b.N), "virt-us/op")
 }
 
 // BenchmarkLargeWorldAllreduce is the tentpole scale bench: a 64-byte
-// allreduce at 1K and 4K ranks in event mode. These start their own
-// baselines — no goroutine-mode twin exists at these rank counts.
+// allreduce at 1K and 4K ranks.
 func BenchmarkLargeWorldAllreduce(b *testing.B) {
 	for _, ranks := range []int{1024, 4096} {
 		b.Run(fmt.Sprintf("event/ranks=%d", ranks), func(b *testing.B) {
-			benchLargeWorld(b, fabric.ProgressEvent, "allreduce", ranks, 8)
+			benchLargeWorld(b, "allreduce", ranks, 8)
 		})
 	}
 }
 
-// BenchmarkLargeWorldBcast: binomial broadcast at 1K ranks, event mode.
+// BenchmarkLargeWorldBcast: binomial broadcast at 1K ranks.
 func BenchmarkLargeWorldBcast(b *testing.B) {
 	b.Run("event/ranks=1024", func(b *testing.B) {
-		benchLargeWorld(b, fabric.ProgressEvent, "bcast", 1024, 8)
+		benchLargeWorld(b, "bcast", 1024, 8)
 	})
 }
 
 // BenchmarkLargeWorldBarrier: dissemination barrier at 1K ranks — the
-// pure wakeup/handoff cost of the event scheduler, no payload at all.
+// pure wakeup/handoff cost of the fiber scheduler, no payload at all.
 func BenchmarkLargeWorldBarrier(b *testing.B) {
 	b.Run("event/ranks=1024", func(b *testing.B) {
-		benchLargeWorld(b, fabric.ProgressEvent, "barrier", 1024, 0)
+		benchLargeWorld(b, "barrier", 1024, 0)
 	})
 }
 
-// BenchmarkEngineComparison pits the two engines against each other at a
-// rank count both can handle — the apples-to-apples cost of the token
-// scheduler vs true parallelism on an 8-rank allreduce.
+// BenchmarkEngineComparison is the large-world driver at 8 ranks: the
+// token scheduler's cost on the same allreduce the 8-rank gate benches
+// run through benchCoreCollective.
 func BenchmarkEngineComparison(b *testing.B) {
-	for _, mode := range []fabric.ProgressMode{fabric.ProgressGoroutine, fabric.ProgressEvent} {
-		b.Run(fmt.Sprintf("%s/ranks=8", mode), func(b *testing.B) {
-			benchLargeWorld(b, mode, "allreduce", 8, 8)
-		})
-	}
+	b.Run("event/ranks=8", func(b *testing.B) {
+		benchLargeWorld(b, "allreduce", 8, 8)
+	})
 }
 
 // BenchmarkTraceOverhead measures what the tracing instrumentation
@@ -700,12 +696,12 @@ func matrixBenchWorkload() ([]scenario.Spec, map[string]time.Duration) {
 	return specs, costs
 }
 
-// BenchmarkMatrixScheduling pits the two ways paperfigs spreads a matrix
-// across four workers against each other on the straggler-heavy subset:
-// static -shard i/4 round-robin partitioning (each worker sequentially
-// runs its fixed slice; the run ends when the slowest shard does) versus
-// the matrixd lease queue (workers steal the next longest-expected cell
-// until the queue is dry, paying real HTTP+store overhead per cell).
+// BenchmarkMatrixScheduling measures what the matrixd lease queue buys
+// over a fixed partition, spreading the straggler-heavy subset across
+// four workers: static round-robin slices (each worker sequentially runs
+// its fixed slice; the run ends when the slowest slice does) versus the
+// lease queue (workers steal the next longest-expected cell until the
+// queue is dry, paying real HTTP+store overhead per cell).
 // Cell execution is a sleep of the cell's synthetic cost on both sides,
 // so the measured difference is pure scheduling. Metrics are wall-clock
 // only — the virtual-time regression gate does not apply here.
@@ -729,8 +725,8 @@ func BenchmarkMatrixScheduling(b *testing.B) {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
-					for _, s := range (scenario.Shard{Index: w, Count: workers}).Select(specs) {
-						execute(s, opts)
+					for j := w; j < len(specs); j += workers {
+						execute(specs[j], opts)
 					}
 				}(w)
 			}

@@ -13,10 +13,10 @@ import (
 // slowed beyond tolerance.
 //
 // By default only the *virtual-time* metrics (virt-us/op, virt-ms/run)
-// are gated. They are the simulated cluster's own clock — deterministic
-// up to sub-percent scheduler wiggle and identical across host
-// machines — so a 25% tolerance catches real regressions without
-// tripping on runner noise. Wall-clock units (ns/op, cycle-us, ckpt-us)
+// are gated. They are the simulated cluster's own clock — exactly
+// repeatable and identical across host machines — so CI gates them
+// with -tolerance 0: any change to a virtual time is a change to a
+// result and must come with a re-recorded baseline. Wall-clock units (ns/op, cycle-us, ckpt-us)
 // vary with the host CPU and with -benchtime 1x sampling, and are only
 // compared when explicitly listed via -units.
 

@@ -9,7 +9,7 @@
 //
 //	go test -run '^$' -bench . -benchtime 1x ./... | go run ./cmd/benchreport -out BENCH_baseline.json
 //	go test -run '^$' -bench . -benchtime 1x ./... | \
-//	  go run ./cmd/benchreport -out BENCH_ci.json -compare BENCH_baseline.json -tolerance 25
+//	  go run ./cmd/benchreport -out BENCH_ci.json -compare BENCH_baseline.json -tolerance 0
 //
 // The parser keeps every benchmark line's iteration count, ns/op and
 // custom metrics (virt-us/op, ckpt-us, cycle-us, ...), plus the goos /

@@ -2,9 +2,10 @@
 // content-addressed store of completed cell results plus a lease-based
 // work-stealing scheduler, over plain HTTP. Workers are paperfigs
 // processes pointed at it (paperfigs -matrix -remote URL); they need no
-// shard assignment and no shared filesystem — the lease queue replaces
-// static -shard i/n partitioning, so a straggler-heavy slice can no
-// longer gate the whole run behind one unlucky shard.
+// cell assignment and no shared filesystem — the lease queue hands out
+// cells longest-expected-first, so a straggler-heavy slice cannot gate
+// the whole run behind one unlucky worker. It is also the one offline
+// distribution path: a loopback matrixd -once plus N local workers.
 //
 // Usage:
 //
@@ -42,7 +43,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/scenario"
 	"repro/internal/scenario/remote"
 )
@@ -58,7 +58,6 @@ func main() {
 		nodes    = flag.Int("nodes", 0, "override node count")
 		rpn      = flag.Int("rpn", 0, "override ranks per node")
 		seed     = flag.Int64("seed", 0, "base seed perturbing every scenario's deterministic jitter seeds")
-		progress = flag.String("progress", "", "rank execution engine workers must use: goroutine (default) or event")
 		ttl      = flag.Duration("lease-ttl", remote.DefaultLeaseTTL, "lease duration; an expired lease requeues its cell")
 		once     = flag.Bool("once", false, "serve until the run completes, write the report, then exit")
 		out      = flag.String("out", "results.json", "report path (-once only)")
@@ -69,16 +68,11 @@ func main() {
 	if *storeDir == "" {
 		fatal(fmt.Errorf("-store is required"))
 	}
-	progressMode := core.ProgressMode(*progress)
-	if err := progressMode.Validate(); err != nil {
-		fatal(err)
-	}
 
 	o := scenario.Quick()
 	if *full {
 		o = scenario.Full()
 	}
-	o.Progress = progressMode
 	if *reps > 0 {
 		o.Reps = *reps
 	}

@@ -12,10 +12,8 @@
 //
 //	paperfigs [-fig 2,3,4,5,6|all|fsgsbase|recovery|shrinkrecovery|recoveryfrontier] [-quick] [-out results/] [-reps N] [-parallel N]
 //	paperfigs -matrix [-full] [-faults=false] [-parallel N] [-out results.json] [-apps app.comd,app.wave]
-//	paperfigs -matrix -shard 0/4 -cache .scenario-cache -out shard-0.json
 //	paperfigs -matrix -remote http://host:8341 [-worker NAME] [-cache DIR]
 //	paperfigs -fetch-report -remote http://host:8341 -out results.json
-//	paperfigs -merge shard-0.json,shard-1.json,shard-2.json,shard-3.json -out results.json
 //	paperfigs -matrix -trace traces/              # one Perfetto trace JSON per executed cell
 //	paperfigs -trace-cell ID [-trace traces/]     # run one cell traced, print the trace path
 //	paperfigs -list [-faults=false] [-apps ...]   # print the cell set, run nothing
@@ -38,13 +36,9 @@
 // over every cross-implementation pairing, NIC degradation over every
 // plain cell) is on by default in matrix mode; -faults=false drops it.
 //
-// The incremental layer: -shard i/n runs only the i-th of n disjoint,
-// deterministic slices of the matrix (independent processes cover the
-// whole matrix with no coordination), -cache serves cells whose inputs
-// are unchanged from a persistent content-addressed result cache (both
-// modes), and -merge recombines shard/partial reports into one report —
-// with provenance recording live-vs-cached cells and per-shard wall
-// times — without running any scenarios.
+// The incremental layer: -cache serves cells whose inputs are unchanged
+// from a persistent content-addressed result cache (both modes), with
+// the report's provenance recording live-vs-cached cells.
 // -cache-prune deletes entries stamped with a stale EngineVersion (each
 // engine bump otherwise leaves its predecessors' whole generation of
 // results dead on disk forever) plus undecodable ones, and exits.
@@ -57,9 +51,10 @@
 // directory composes as a local read-through tier: locally warm cells
 // are published without re-executing. -fetch-report -remote URL polls
 // the server for the assembled report and writes it to -out, exiting
-// nonzero on failed cells exactly like a local matrix run. CI runs the
-// matrix as one matrixd plus a worker fleet; -shard/-merge keep working
-// for offline, serverless runs.
+// nonzero on failed cells exactly like a local matrix run. This is the
+// one way to spread a matrix run over several processes: CI runs one
+// matrixd plus a worker fleet, and an offline run is the same thing on
+// loopback (matrixd -once -addr 127.0.0.1:8341 plus local workers).
 package main
 
 import (
@@ -72,7 +67,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/scenario"
 	"repro/internal/scenario/remote"
@@ -93,12 +87,9 @@ func main() {
 		seed      = flag.Int64("seed", 0, "base seed perturbing every scenario's deterministic jitter seeds")
 		scratch   = flag.String("scratch", "", "keep checkpoint images under this directory instead of a deleted temp dir (-matrix only)")
 		withFlt   = flag.Bool("faults", true, "include the fault-injection axis in the matrix (-matrix only)")
-		shardSel  = flag.String("shard", "", "run only one deterministic slice of the matrix, format i/n with 0 <= i < n (-matrix only)")
 		cacheDir  = flag.String("cache", "", "content-addressed result cache directory; unchanged cells are served from it instead of re-executing")
-		mergeIn   = flag.String("merge", "", "comma-separated shard/partial report JSONs to merge into one report at -out (runs nothing)")
 		list      = flag.Bool("list", false, "print the enumerated matrix cells (id, program, impl, ABI path, ckpt, restart pairing, fault) without executing anything")
 		prune     = flag.Bool("cache-prune", false, "delete cached cell results whose stamped engine version is stale (requires -cache), then exit without running anything")
-		progress  = flag.String("progress", "", "rank execution engine for every scenario world: goroutine (default) or event (the large-rank scheduler; results are mode-invariant)")
 		remoteURL = flag.String("remote", "", "matrixd server URL; with -matrix this process becomes a work-stealing worker, with -fetch-report it downloads the assembled report")
 		workerNm  = flag.String("worker", "", "worker name for matrixd provenance (-remote only; default host.pid)")
 		fetchRep  = flag.Bool("fetch-report", false, "poll the -remote server for the assembled matrix report, write it to -out and exit")
@@ -107,17 +98,12 @@ func main() {
 	)
 	flag.Parse()
 
-	progressMode := core.ProgressMode(*progress)
-	if err := progressMode.Validate(); err != nil {
-		fatal(err)
-	}
-
 	if *prune {
 		if *cacheDir == "" {
 			fatal(fmt.Errorf("-cache-prune requires -cache"))
 		}
-		if *matrix || *list || *mergeIn != "" || *shardSel != "" {
-			fatal(fmt.Errorf("-cache-prune runs nothing; it conflicts with -matrix, -list, -merge and -shard"))
+		if *matrix || *list {
+			fatal(fmt.Errorf("-cache-prune runs nothing; it conflicts with -matrix and -list"))
 		}
 		cache, err := scenario.OpenCache(*cacheDir)
 		if err != nil {
@@ -133,14 +119,7 @@ func main() {
 	}
 
 	if *list {
-		var shard scenario.Shard
-		if *shardSel != "" {
-			var err error
-			if shard, err = scenario.ParseShard(*shardSel); err != nil {
-				fatal(err)
-			}
-		}
-		runList(*apps, *withFlt, shard)
+		runList(*apps, *withFlt)
 		return
 	}
 
@@ -148,18 +127,18 @@ func main() {
 		fatal(fmt.Errorf("-full and -quick conflict; pick one"))
 	}
 	if *traceCell != "" {
-		if *matrix || *mergeIn != "" || *shardSel != "" || *remoteURL != "" || *fetchRep {
-			fatal(fmt.Errorf("-trace-cell runs one cell; it conflicts with -matrix, -merge, -shard, -remote and -fetch-report"))
+		if *matrix || *remoteURL != "" || *fetchRep {
+			fatal(fmt.Errorf("-trace-cell runs one cell; it conflicts with -matrix, -remote and -fetch-report"))
 		}
-		runTraceCell(*traceCell, *traceDir, *full, *withFlt, *apps, *reps, *nodes, *rpn, *seed, *scratch, progressMode)
+		runTraceCell(*traceCell, *traceDir, *full, *withFlt, *apps, *reps, *nodes, *rpn, *seed, *scratch)
 		return
 	}
 	if *fetchRep {
 		if *remoteURL == "" {
 			fatal(fmt.Errorf("-fetch-report requires -remote"))
 		}
-		if *matrix || *mergeIn != "" || *shardSel != "" {
-			fatal(fmt.Errorf("-fetch-report runs nothing; it conflicts with -matrix, -merge and -shard"))
+		if *matrix {
+			fatal(fmt.Errorf("-fetch-report runs nothing; it conflicts with -matrix"))
 		}
 		runFetchReport(*remoteURL, *out)
 		return
@@ -168,35 +147,18 @@ func main() {
 		if !*matrix {
 			fatal(fmt.Errorf("-remote requires -matrix (worker mode) or -fetch-report"))
 		}
-		if *shardSel != "" || *mergeIn != "" {
-			fatal(fmt.Errorf("-remote workers steal work from the server's lease queue; -shard and -merge do not apply"))
-		}
-		if *full || *apps != "" || *reps > 0 || *nodes > 0 || *rpn > 0 || *seed != 0 || !*withFlt || *progress != "" {
-			fatal(fmt.Errorf("the matrixd server owns the cell set, scale, seeds and progress mode; -full, -apps, -faults, -reps, -nodes, -rpn, -seed and -progress do not apply to -remote workers"))
+		if *full || *apps != "" || *reps > 0 || *nodes > 0 || *rpn > 0 || *seed != 0 || !*withFlt {
+			fatal(fmt.Errorf("the matrixd server owns the cell set, scale and seeds; -full, -apps, -faults, -reps, -nodes, -rpn and -seed do not apply to -remote workers"))
 		}
 		runWorker(*remoteURL, *workerNm, *parallel, *scratch, *cacheDir, *traceDir)
 		return
 	}
-	if *mergeIn != "" {
-		if *matrix || *shardSel != "" || *cacheDir != "" {
-			fatal(fmt.Errorf("-merge runs nothing; it conflicts with -matrix, -shard and -cache"))
-		}
-		runMerge(strings.Split(*mergeIn, ","), *out)
-		return
-	}
-	var shard scenario.Shard
-	if *shardSel != "" {
-		var err error
-		if shard, err = scenario.ParseShard(*shardSel); err != nil {
-			fatal(err)
-		}
-	}
 	if *matrix {
-		runMatrix(*full, *withFlt, *parallel, *reps, *nodes, *rpn, *seed, *apps, *scratch, *cacheDir, *traceDir, shard, progressMode, *out)
+		runMatrix(*full, *withFlt, *parallel, *reps, *nodes, *rpn, *seed, *apps, *scratch, *cacheDir, *traceDir, *out)
 		return
 	}
-	if *full || *apps != "" || *scratch != "" || *shardSel != "" || *traceDir != "" {
-		fatal(fmt.Errorf("-full, -apps, -scratch, -shard and -trace require -matrix"))
+	if *full || *apps != "" || *scratch != "" || *traceDir != "" {
+		fatal(fmt.Errorf("-full, -apps, -scratch and -trace require -matrix"))
 	}
 
 	opts := harness.Full()
@@ -215,7 +177,6 @@ func main() {
 	}
 	opts.Parallel = *parallel
 	opts.Seed = *seed
-	opts.Progress = progressMode
 
 	names := strings.Split(*figs, ",")
 	if *figs == "all" {
@@ -244,11 +205,8 @@ func main() {
 // runList prints the enumerated matrix without executing anything — the
 // cheap way to eyeball what a cell set covers (e.g. the stdabi cells and
 // their cross-restart pairings) before paying for a run.
-func runList(apps string, withFaults bool, shard scenario.Shard) {
-	specs := shard.Select(buildMatrix(apps, withFaults).Enumerate())
-	if shard.Count > 0 {
-		fmt.Printf("shard %d/%d:\n", shard.Index, shard.Count)
-	}
+func runList(apps string, withFaults bool) {
+	specs := buildMatrix(apps, withFaults).Enumerate()
 	fmt.Printf("%-78s %-10s %-8s %-10s %-6s %-18s %s\n",
 		"ID", "PROGRAM", "IMPL", "ABI", "CKPT", "RESTART", "FAULT")
 	for _, s := range specs {
@@ -286,29 +244,8 @@ func buildMatrix(apps string, withFaults bool) scenario.MatrixSpec {
 	return m
 }
 
-// runMerge recombines shard/partial reports into one and writes it.
-func runMerge(paths []string, out string) {
-	var parts []*scenario.Report
-	for _, p := range paths {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			continue
-		}
-		rep, err := scenario.ReadReport(p)
-		if err != nil {
-			fatal(err)
-		}
-		parts = append(parts, rep)
-	}
-	merged, err := scenario.MergeReports(parts...)
-	if err != nil {
-		fatal(err)
-	}
-	writeReport(merged, out, fmt.Sprintf("merged from %d reports", len(parts)))
-}
-
 // writeReport renders, persists and pass/fail-gates a matrix report:
-// the shared epilogue of -matrix and -merge modes.
+// the shared epilogue of -matrix and -fetch-report modes.
 func writeReport(rep *scenario.Report, out, detail string) {
 	fmt.Println(rep.Render())
 	printProvenance(rep)
@@ -328,26 +265,20 @@ func writeReport(rep *scenario.Report, out, detail string) {
 	}
 }
 
-// printProvenance summarizes the live/cached split and per-shard costs.
+// printProvenance summarizes the live/cached split and per-worker costs.
 func printProvenance(rep *scenario.Report) {
 	p := rep.Provenance
 	if p == nil {
 		return
 	}
 	fmt.Printf("provenance: %d live, %d cached\n", p.Live, p.Cached)
-	for _, sh := range p.Shards {
-		if sh.Count > 0 {
-			fmt.Printf("  shard %d/%d: %d cells (%d live, %d cached), %.1fs wall\n",
-				sh.Index, sh.Count, sh.Scenarios, sh.Live, sh.Cached, float64(sh.WallMS)/1000)
-		} else {
-			fmt.Printf("  partial %d: %d cells (%d live, %d cached), %.1fs wall\n",
-				sh.Index, sh.Scenarios, sh.Live, sh.Cached, float64(sh.WallMS)/1000)
-		}
+	for _, w := range p.Shards {
+		fmt.Printf("  worker %s: %d cells (%d live, %d cached), %.1fs wall\n",
+			w.Label, w.Scenarios, w.Live, w.Cached, float64(w.WallMS)/1000)
 	}
 }
 
-// runWorker drains a matrixd server's lease queue: the work-stealing
-// replacement for a -shard slice. The server owns the cell set and
+// runWorker drains a matrixd server's lease queue. The server owns the cell set and
 // every result-determining option; this process contributes hands (and,
 // via -cache, a warm local tier whose hits are published instead of
 // re-executed).
@@ -403,15 +334,13 @@ func runFetchReport(url, out string) {
 }
 
 // runMatrix executes the scenario matrix and writes the JSON report.
-func runMatrix(full, withFaults bool, parallel, reps, nodes, rpn int, seed int64, apps, scratch, cache, traceDir string, shard scenario.Shard, progress core.ProgressMode, out string) {
+func runMatrix(full, withFaults bool, parallel, reps, nodes, rpn int, seed int64, apps, scratch, cache, traceDir, out string) {
 	o := scenario.Quick()
 	if full {
 		o = scenario.Full()
 	}
 	o.Scratch = scratch
 	o.CacheDir = cache
-	o.Shard = shard
-	o.Progress = progress
 	o.TraceDir = traceDir
 	if parallel > 0 {
 		o.Parallel = parallel
@@ -428,14 +357,8 @@ func runMatrix(full, withFaults bool, parallel, reps, nodes, rpn int, seed int64
 	o.BaseSeed = seed
 
 	specs := buildMatrix(apps, withFaults).Enumerate()
-	owned := len(shard.Select(specs))
-	if owned != len(specs) {
-		fmt.Printf("running shard %d/%d: %d of %d scenarios (%d workers, %d reps each) ...\n",
-			shard.Index, shard.Count, owned, len(specs), o.Parallel, o.Reps)
-	} else {
-		fmt.Printf("running %d scenarios (%d workers, %d reps each) ...\n", len(specs), o.Parallel, o.Reps)
-	}
-	o.OnCell = matrixProgress(shard.Select(specs), o)
+	fmt.Printf("running %d scenarios (%d workers, %d reps each) ...\n", len(specs), o.Parallel, o.Reps)
+	o.OnCell = matrixProgress(specs, o)
 
 	rep := scenario.Run(specs, o)
 	writeReport(rep, out, "")
@@ -507,7 +430,7 @@ func matrixProgress(specs []scenario.Spec, o scenario.Options) func(scenario.Cel
 // reports where the Perfetto-loadable trace landed — the one-command
 // way to look at a specific cell's virtual-time execution (e.g. a
 // rank-crash shrink-recovery cell's revoke/agree rounds).
-func runTraceCell(id, traceDir string, full, withFaults bool, apps string, reps, nodes, rpn int, seed int64, scratch string, progress core.ProgressMode) {
+func runTraceCell(id, traceDir string, full, withFaults bool, apps string, reps, nodes, rpn int, seed int64, scratch string) {
 	if traceDir == "" {
 		traceDir = "traces"
 	}
@@ -516,7 +439,6 @@ func runTraceCell(id, traceDir string, full, withFaults bool, apps string, reps,
 		o = scenario.Full()
 	}
 	o.Scratch = scratch
-	o.Progress = progress
 	o.TraceDir = traceDir
 	if reps > 0 {
 		o.Reps = reps

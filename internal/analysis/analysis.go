@@ -6,7 +6,7 @@
 // The checkers built on it (envlifetime, sendowned, parksafe,
 // nativecodes, walltime) machine-enforce contracts the compiler cannot
 // see and the paper's results depend on: pooled-envelope ownership,
-// SendOwned transfer semantics, fiber park safety in event mode,
+// SendOwned transfer semantics, fiber park safety,
 // native-error-code sourcing across ABI surfaces, and determinism of
 // everything that feeds serialized reports. Each invariant is today
 // documented in comments and enforced by differential tests; mpivet

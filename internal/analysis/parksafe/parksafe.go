@@ -1,6 +1,6 @@
-// Package parksafe checks the event-mode fiber discipline from
-// internal/fabric/sched.go: under ProgressEvent every rank runs as a
-// fiber multiplexed onto one scheduler token, and a fiber that blocks
+// Package parksafe checks the fiber discipline from
+// internal/fabric/sched.go: every rank runs as a fiber multiplexed onto
+// one scheduler token, and a fiber that blocks
 // in the Go runtime instead of parking through (*sched).park stalls the
 // token — every other rank in the world stops with it. The rules:
 //
@@ -378,7 +378,7 @@ func (p *program) report() {
 		n := p.nodes[key]
 		via := p.path(parent, key)
 		for _, f := range n.facts {
-			n.pass.Reportf(f.pos, "%s blocks a fiber (%s): event-mode fibers share one scheduler token and must park via the scheduler, not the Go runtime", f.what, via)
+			n.pass.Reportf(f.pos, "%s blocks a fiber (%s): fibers share one scheduler token and must park via the scheduler, not the Go runtime", f.what, via)
 		}
 		p.checkLocks(n)
 	}

@@ -5,8 +5,8 @@
 // wall-clock reads, the process-global math/rand source, and Go's
 // randomized map iteration order feeding anything serialized. The
 // checker forbids all three in the deterministic core (mpicore, fabric,
-// ulfm, simnet, scenario, trace — traces are byte-deterministic under
-// the event engine, so the trace writer is held to the same bar).
+// ulfm, simnet, scenario, trace — traces are byte-deterministic, so the
+// trace writer is held to the same bar).
 //
 // Map iteration is only flagged when the loop body is order-sensitive:
 // appending to a slice that is not sorted afterwards in the same

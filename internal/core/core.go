@@ -134,27 +134,10 @@ type Stack struct {
 	Kernel mana.KernelVersion // FSGSBASE model for the MANA layer
 	Net    simnet.Config      // cluster shape and cost model
 
-	// Progress selects the world's rank execution engine: the default
-	// goroutine-per-rank, or the event-driven scheduler that makes
-	// thousand-rank worlds feasible (see fabric.ProgressMode). It is an
-	// execution strategy, not a stack leg: results are bit-identical
-	// across modes, which the differential suites enforce.
-	Progress ProgressMode
-
 	// Muk and Mana override layer tunables; zero values take defaults.
 	Muk  mukautuva.Config
 	Mana mana.Config
 }
-
-// ProgressMode re-exports fabric.ProgressMode for configuration surfaces
-// that speak core (scenario, harness, cmd flags).
-type ProgressMode = fabric.ProgressMode
-
-// Progress modes (see fabric.ProgressGoroutine/ProgressEvent).
-const (
-	ProgressGoroutine = fabric.ProgressGoroutine
-	ProgressEvent     = fabric.ProgressEvent
-)
 
 // Validate reports configuration errors.
 func (s Stack) Validate() error {
@@ -172,9 +155,6 @@ func (s Stack) Validate() error {
 	case CkptNone, CkptMANA, CkptDMTCP:
 	default:
 		return fmt.Errorf("core: unknown checkpoint mode %q", s.Ckpt)
-	}
-	if err := s.Progress.Validate(); err != nil {
-		return err
 	}
 	return s.Net.Validate()
 }
@@ -445,9 +425,9 @@ func Launch(stack Stack, progName string, opts ...LaunchOption) (*Job, error) {
 	if lo.replica != nil {
 		// stack.Net names the LOGICAL cluster; the replicated world adds
 		// a disjoint set of nodes carrying one shadow per logical rank.
-		w, err = fabric.NewReplicatedWorld(stack.Net, stack.Progress)
+		w, err = fabric.NewReplicatedWorld(stack.Net)
 	} else {
-		w, err = fabric.NewWorldMode(stack.Net, stack.Progress)
+		w, err = fabric.NewWorld(stack.Net)
 	}
 	if err != nil {
 		return nil, err
@@ -549,8 +529,8 @@ func (j *Job) Start() {
 	for r := range j.progs {
 		j.wg.Add(1)
 		r := r
-		// Spawn, not `go`: on an event-mode world the rank must run as a
-		// scheduler fiber so the fabric's blocking primitives can park it.
+		// Spawn, not `go`: the rank must run as a scheduler fiber so the
+		// fabric's blocking primitives can park it.
 		j.w.Spawn(r, func() { j.runRank(r, j.rdir != "", 0) })
 	}
 }
@@ -962,7 +942,7 @@ func Restart(dir string, stack Stack, opts ...LaunchOption) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	w, err := fabric.NewWorldMode(stack.Net, stack.Progress)
+	w, err := fabric.NewWorld(stack.Net)
 	if err != nil {
 		return nil, err
 	}

@@ -2,38 +2,20 @@ package core
 
 import (
 	"errors"
-	"math"
 	"testing"
 	"time"
 )
 
-// Core-level event-mode coverage: the ProgressMode knob must behave
-// identically through the whole Launch/Wait/recovery surface, not just
-// at the mpicore API (internal/mpicore's differential suite owns that
-// layer).
-
-func TestStackValidatesProgressMode(t *testing.T) {
-	s := testStack(ImplMPICH, ABINative, CkptNone, 2)
-	for _, m := range []ProgressMode{"", ProgressGoroutine, ProgressEvent} {
-		s.Progress = m
-		if err := s.Validate(); err != nil {
-			t.Errorf("Validate with Progress=%q: %v", m, err)
-		}
-	}
-	s.Progress = "fibers"
-	if err := s.Validate(); err == nil {
-		t.Error("Validate accepted Progress=\"fibers\"")
-	}
-}
+// Core-level coverage of the fabric's progress engine through the whole
+// Launch/Wait/recovery surface, not just at the mpicore API
+// (internal/mpicore's differential suite owns that layer).
 
 // TestEventModeLaunchAllImpls: every implementation personality runs its
-// full app workload under the event scheduler with the same result as
-// always — ProgressMode is a schedule, not a semantic.
+// full app workload to the expected result under the fiber scheduler.
 func TestEventModeLaunchAllImpls(t *testing.T) {
 	for _, impl := range []Impl{ImplMPICH, ImplOpenMPI, ImplStdABI} {
 		t.Run(string(impl), func(t *testing.T) {
 			stack := testStack(impl, ABINative, CkptNone, 5)
-			stack.Progress = ProgressEvent
 			job, err := Launch(stack, "test.ring")
 			if err != nil {
 				t.Fatal(err)
@@ -51,35 +33,6 @@ func TestEventModeLaunchAllImpls(t *testing.T) {
 	}
 }
 
-// TestEventModeAppDigestMatchesGoroutine runs the same deterministic app
-// under both engines and compares final program state per rank.
-func TestEventModeAppDigestMatchesGoroutine(t *testing.T) {
-	run := func(mode ProgressMode) []float64 {
-		t.Helper()
-		stack := testStack(ImplMPICH, ABINative, CkptNone, 4)
-		stack.Progress = mode
-		job, err := Launch(stack, "test.shrink.ring")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := job.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		out := make([]float64, 4)
-		for r := range out {
-			out[r] = job.Program(r).(*shrinkRing).Digest
-		}
-		return out
-	}
-	gor := run(ProgressGoroutine)
-	ev := run(ProgressEvent)
-	for r := range gor {
-		if gor[r] != ev[r] {
-			t.Errorf("rank %d digest: goroutine %v vs event %v", r, gor[r], ev[r])
-		}
-	}
-}
-
 // TestEventModeCancelDeterministicError is the event-loop companion of
 // TestCancelReturnsErrCancelled: cancelling a job whose fibers sit
 // parked in the scheduler must collapse to the ErrCancelled sentinel
@@ -89,7 +42,6 @@ func TestEventModeAppDigestMatchesGoroutine(t *testing.T) {
 func TestEventModeCancelDeterministicError(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		stack := testStack(ImplMPICH, ABINative, CkptNone, 4)
-		stack.Progress = ProgressEvent
 		job, err := Launch(stack, "test.ring.slow")
 		if err != nil {
 			t.Fatal(err)
@@ -104,41 +56,27 @@ func TestEventModeCancelDeterministicError(t *testing.T) {
 
 // TestShrinkRecoveryDigestEventMode is the fault-path acceptance test:
 // the full kill → revoke → shrink → agree → continue cycle under the
-// event scheduler, with survivor digests equal to (a) a survivors-only
-// reference run and (b) the same recovery under the goroutine engine.
+// fiber scheduler, with survivor digests equal to a survivors-only
+// reference run.
 func TestShrinkRecoveryDigestEventMode(t *testing.T) {
 	const n, victim = 4, 2
-	recoverDigests := func(mode ProgressMode) []float64 {
-		t.Helper()
-		stack := shrinkStack(ImplMPICH, ABINative, n)
-		stack.Progress = mode
-		inj := nonFatalRankCrash(t, victim, 3, stack.Net)
-		res, err := RunWithShrinkRecovery(stack, "test.shrink.ring", inj,
-			ShrinkPolicy{LegTimeout: 60 * time.Second})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Completed || res.Shrinks != 1 {
-			t.Fatalf("%s mode: completed=%v shrinks=%d", mode, res.Completed, res.Shrinks)
-		}
-		var out []float64
-		for r := 0; r < n; r++ {
-			if r == victim {
-				continue
-			}
-			out = append(out, res.Job.Program(r).(*shrinkRing).Digest)
-		}
-		return out
+	stack := shrinkStack(ImplMPICH, ABINative, n)
+	inj := nonFatalRankCrash(t, victim, 3, stack.Net)
+	res, err := RunWithShrinkRecovery(stack, "test.shrink.ring", inj,
+		ShrinkPolicy{LegTimeout: 60 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Completed || res.Shrinks != 1 {
+		t.Fatalf("completed=%v shrinks=%d", res.Completed, res.Shrinks)
 	}
 	want := refDigest(t, ImplMPICH, ABINative, n-1)
-	gor := recoverDigests(ProgressGoroutine)
-	ev := recoverDigests(ProgressEvent)
-	for i := range gor {
-		if math.Abs(ev[i]-want) > 0 {
-			t.Errorf("event-mode survivor %d digest %v != %d-rank reference %v", i, ev[i], n-1, want)
+	for r := 0; r < n; r++ {
+		if r == victim {
+			continue
 		}
-		if gor[i] != ev[i] {
-			t.Errorf("survivor %d digest: goroutine %v vs event %v", i, gor[i], ev[i])
+		if got := res.Job.Program(r).(*shrinkRing).Digest; got != want {
+			t.Errorf("survivor %d digest %v != %d-rank reference %v", r, got, n-1, want)
 		}
 	}
 }
@@ -151,7 +89,6 @@ func TestShrinkRecoveryDigestEventMode(t *testing.T) {
 // is the interesting layer to run over the event loop.)
 func TestEventModeCheckpointRestart(t *testing.T) {
 	stack := testStack(ImplMPICH, ABIMukautuva, CkptMANA, 3)
-	stack.Progress = ProgressEvent
 	dir := checkpointMidRun(t, stack, true)
 	restarted, err := Restart(dir, stack)
 	if err != nil {

@@ -139,14 +139,13 @@ func TestReplicationValidation(t *testing.T) {
 	}
 }
 
-// TestReplicationEventMode reruns the failover digest check on the
-// event-driven progress engine: the replica layer's duplicate routing
-// and dedup must behave identically under both rank execution models.
+// TestReplicationEventMode reruns the failover digest check through a
+// translating shim on Open MPI: the replica layer's duplicate routing
+// and dedup under the fiber scheduler must not depend on the stack.
 func TestReplicationEventMode(t *testing.T) {
 	const n, victim = 4, 1
 	want := refDigest(t, ImplOpenMPI, ABIMukautuva, n)
 	stack := shrinkStack(ImplOpenMPI, ABIMukautuva, n)
-	stack.Progress = ProgressEvent
 	inj := nonFatalRankCrash(t, victim, 3, stack.Net)
 	res, err := RunWithReplication(stack, "test.shrink.ring", inj,
 		ReplicaPolicy{LegTimeout: 60 * time.Second})

@@ -18,8 +18,9 @@ func runAgents(t *testing.T, c *Coordinator, n, steps int, plugin Plugin) [][]De
 	out := make([][]Decision, n)
 	var wg sync.WaitGroup
 	for r := 0; r < n; r++ {
+		r := r
 		wg.Add(1)
-		go func(r int) {
+		c.w.Spawn(r, func() {
 			defer wg.Done()
 			a := c.NewAgent(r)
 			for s := 0; s < steps; s++ {
@@ -35,7 +36,7 @@ func runAgents(t *testing.T, c *Coordinator, n, steps int, plugin Plugin) [][]De
 					return
 				}
 			}
-		}(r)
+		})
 	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
@@ -179,14 +180,15 @@ func TestPluginFailurePropagates(t *testing.T) {
 	errCh := c.RequestCheckpoint(filepath.Join(t.TempDir(), "x"), false)
 	var wg sync.WaitGroup
 	for r := 0; r < 2; r++ {
+		r := r
 		wg.Add(1)
-		go func(r int) {
+		w.Spawn(r, func() {
 			defer wg.Done()
 			a := c.NewAgent(r)
 			// The failing rank gets an error from SafePoint; the healthy
 			// rank completes the protocol.
 			_, _ = a.SafePoint(func() ([]byte, error) { return nil, nil }, failingPlugin{rank: r})
-		}(r)
+		})
 	}
 	wg.Wait()
 	if err := <-errCh; err == nil {

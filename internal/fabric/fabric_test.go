@@ -45,11 +45,16 @@ func TestEndpointOutOfRangePanics(t *testing.T) {
 func TestSendRecvPayloadCopied(t *testing.T) {
 	w := newTestWorld(t, 2)
 	buf := []byte{1, 2, 3}
-	done := make(chan *Envelope)
-	go func() { done <- w.Endpoint(1).Recv() }()
-	w.Endpoint(0).Send(&Envelope{Dst: 1, Tag: 9, Payload: buf})
-	buf[0] = 99 // sender mutates its buffer after send
-	e := <-done
+	var e *Envelope
+	var wg sync.WaitGroup
+	wg.Add(2)
+	w.Spawn(0, func() {
+		defer wg.Done()
+		w.Endpoint(0).Send(&Envelope{Dst: 1, Tag: 9, Payload: buf})
+		buf[0] = 99 // sender mutates its buffer after send
+	})
+	w.Spawn(1, func() { defer wg.Done(); e = w.Endpoint(1).Recv() })
+	join(t, &wg)
 	if e.Src != 0 || e.Tag != 9 {
 		t.Fatalf("envelope src/tag = %d/%d, want 0/9", e.Src, e.Tag)
 	}
@@ -60,8 +65,15 @@ func TestSendRecvPayloadCopied(t *testing.T) {
 
 func TestRecvAdvancesClock(t *testing.T) {
 	w := newTestWorld(t, 2)
-	go w.Endpoint(0).Send(&Envelope{Dst: 1, Payload: make([]byte, 4096)})
-	e := w.Endpoint(1).Recv()
+	var e *Envelope
+	var wg sync.WaitGroup
+	wg.Add(2)
+	w.Spawn(1, func() { defer wg.Done(); e = w.Endpoint(1).Recv() })
+	w.Spawn(0, func() {
+		defer wg.Done()
+		w.Endpoint(0).Send(&Envelope{Dst: 1, Payload: make([]byte, 4096)})
+	})
+	join(t, &wg)
 	if e == nil {
 		t.Fatal("Recv returned nil")
 	}
@@ -87,17 +99,15 @@ func TestTryRecv(t *testing.T) {
 }
 
 func TestRecvAfterCloseReturnsNil(t *testing.T) {
-	w := newTestWorld(t, 2)
-	got := make(chan *Envelope)
-	go func() { got <- w.Endpoint(0).Recv() }()
+	w := newTestWorld(t, 1)
+	var e *Envelope
+	var wg sync.WaitGroup
+	wg.Add(1)
+	w.Spawn(0, func() { defer wg.Done(); e = w.Endpoint(0).Recv() })
 	w.Close()
-	select {
-	case e := <-got:
-		if e != nil {
-			t.Fatalf("Recv after close = %+v, want nil", e)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Recv did not return after Close")
+	join(t, &wg)
+	if e != nil {
+		t.Fatalf("Recv after close = %+v, want nil", e)
 	}
 }
 
@@ -147,13 +157,14 @@ func TestOOBExchange(t *testing.T) {
 	var wg sync.WaitGroup
 	results := make([][][]byte, n)
 	for r := 0; r < n; r++ {
+		r := r
 		wg.Add(1)
-		go func(r int) {
+		w.Spawn(r, func() {
 			defer wg.Done()
 			results[r] = w.OOB().Exchange(r, []byte(fmt.Sprintf("rank%d", r)))
-		}(r)
+		})
 	}
-	wg.Wait()
+	join(t, &wg)
 	for r := 0; r < n; r++ {
 		if len(results[r]) != n {
 			t.Fatalf("rank %d got %d slots", r, len(results[r]))
@@ -173,42 +184,43 @@ func TestOOBExchangeGenerations(t *testing.T) {
 	const n, rounds = 6, 25
 	w := newTestWorld(t, n)
 	var wg sync.WaitGroup
-	errs := make(chan error, n)
+	errs := make([]error, n)
 	for r := 0; r < n; r++ {
+		r := r
 		wg.Add(1)
-		go func(r int) {
+		w.Spawn(r, func() {
 			defer wg.Done()
 			for g := 0; g < rounds; g++ {
 				out := w.OOB().Exchange(r, []byte{byte(g), byte(r)})
 				for s, v := range out {
 					if v[0] != byte(g) || v[1] != byte(s) {
-						errs <- fmt.Errorf("rank %d gen %d slot %d: got %v", r, g, s, v)
+						errs[r] = fmt.Errorf("rank %d gen %d slot %d: got %v", r, g, s, v)
 						return
 					}
 				}
 			}
-		}(r)
+		})
 	}
-	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
-		t.Fatal(err)
+	join(t, &wg)
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
 func TestOOBExchangeClosedWorld(t *testing.T) {
 	w := newTestWorld(t, 2)
-	got := make(chan [][]byte)
-	go func() { got <- w.OOB().Exchange(0, []byte("x")) }()
+	out := [][]byte{}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	w.Spawn(0, func() { defer wg.Done(); out = w.OOB().Exchange(0, []byte("x")) })
+	w.Spawn(1, func() {}) // never deposits
 	time.Sleep(10 * time.Millisecond)
 	w.Close()
-	select {
-	case out := <-got:
-		if out != nil {
-			t.Fatalf("Exchange on closed world = %v, want nil", out)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Exchange did not return after Close")
+	join(t, &wg)
+	if out != nil {
+		t.Fatalf("Exchange on closed world = %v, want nil", out)
 	}
 }
 

@@ -15,10 +15,9 @@ import (
 // a side channel whose cost is not part of the measured MPI latencies.
 type OOB struct {
 	boxes []*mailboxAny
-	sched *sched // nil on goroutine-mode worlds
+	sched *sched
 
 	mu        sync.Mutex
-	cond      *sync.Cond
 	gen       uint64
 	slots     [][]byte
 	seen      int
@@ -40,28 +39,17 @@ type anyMsg struct {
 
 type mailboxAny struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
 	queue  []anyMsg
 	closed bool
-	sched  *sched // nil on goroutine-mode worlds
+	sched  *sched
 	owner  int
-}
-
-func newMailboxAny(s *sched, owner int) *mailboxAny {
-	m := &mailboxAny{sched: s, owner: owner}
-	m.cond = sync.NewCond(&m.mu)
-	return m
 }
 
 func (m *mailboxAny) push(v anyMsg) {
 	m.mu.Lock()
 	m.queue = append(m.queue, v)
 	m.mu.Unlock()
-	if m.sched != nil {
-		m.sched.wake(m.owner)
-	} else {
-		m.cond.Broadcast()
-	}
+	m.sched.wake(m.owner)
 }
 
 // popTag blocks until a message with the given tag is available and removes
@@ -79,14 +67,10 @@ func (m *mailboxAny) popTag(tag string) (anyMsg, bool) {
 		if m.closed {
 			return anyMsg{}, false
 		}
-		if m.sched != nil {
-			// Park outside the box lock; the pending bit covers the gap.
-			m.mu.Unlock()
-			m.sched.park(m.owner)
-			m.mu.Lock()
-		} else {
-			m.cond.Wait()
-		}
+		// Park outside the box lock; the pending bit covers the gap.
+		m.mu.Unlock()
+		m.sched.park(m.owner)
+		m.mu.Lock()
 	}
 }
 
@@ -94,11 +78,7 @@ func (m *mailboxAny) close() {
 	m.mu.Lock()
 	m.closed = true
 	m.mu.Unlock()
-	if m.sched != nil {
-		m.sched.wake(m.owner)
-	} else {
-		m.cond.Broadcast()
-	}
+	m.sched.wake(m.owner)
 }
 
 func newOOB(n int, s *sched) *OOB {
@@ -109,9 +89,8 @@ func newOOB(n int, s *sched) *OOB {
 		sched:     s,
 	}
 	for i := range o.boxes {
-		o.boxes[i] = newMailboxAny(s, i)
+		o.boxes[i] = &mailboxAny{sched: s, owner: i}
 	}
-	o.cond = sync.NewCond(&o.mu)
 	return o
 }
 
@@ -119,10 +98,7 @@ func (o *OOB) close() {
 	o.mu.Lock()
 	o.done = true
 	o.mu.Unlock()
-	o.cond.Broadcast()
-	if o.sched != nil {
-		o.sched.wakeAll()
-	}
+	o.sched.wakeAll()
 	for _, b := range o.boxes {
 		b.close()
 	}
@@ -164,23 +140,16 @@ func (o *OOB) Exchange(rank int, data []byte) [][]byte {
 		}
 		o.gen++
 		o.seen = 0
-		o.cond.Broadcast()
-		if o.sched != nil {
-			o.sched.wakeAll()
-		}
+		o.sched.wakeAll()
 		return cloneSlots(snap)
 	}
 	for o.published[gen] == nil && !o.done {
-		if o.sched != nil {
-			// Park outside o.mu so the completing fiber can take it; a
-			// broadcast landing in the unlock→park window is latched by
-			// the scheduler's pending bit and park returns at once.
-			o.mu.Unlock()
-			o.sched.park(rank)
-			o.mu.Lock()
-		} else {
-			o.cond.Wait() //mpivet:allow parksafe -- goroutine-mode branch (o.sched == nil); the event-mode path parks via the scheduler above
-		}
+		// Park outside o.mu so the completing fiber can take it; a
+		// wakeAll landing in the unlock→park window is latched by the
+		// scheduler's pending bit and park returns at once.
+		o.mu.Unlock()
+		o.sched.park(rank)
+		o.mu.Lock()
 	}
 	// A published generation outranks closure: if the last depositor
 	// completed the exchange and only then closed the world (a fault

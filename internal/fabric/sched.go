@@ -5,50 +5,6 @@ import (
 	"sync"
 )
 
-// ProgressMode selects how a world executes its ranks.
-//
-// The default, ProgressGoroutine, is one OS-scheduled goroutine per rank
-// with blocking mailbox hops: faithful, fully parallel, and fine up to a
-// few hundred ranks — but at thousands of ranks the per-message
-// condition-variable wakeups, mutex contention and scheduler thrash make
-// collective benches allocation- and wakeup-bound.
-//
-// ProgressEvent multiplexes every rank over a single execution token: an
-// event-driven cooperative scheduler. Exactly one rank runs at a time;
-// blocking on the fabric (an empty mailbox, an incomplete OOB exchange)
-// parks the rank's fiber and hands the token to the next runnable one,
-// and message delivery marks the destination runnable instead of waking
-// an OS thread. Mailbox locks are never contended, wakeups are queue
-// appends, and — because the run order is a deterministic FIFO — an
-// event-mode run is bit-for-bit reproducible, virtual times included.
-// This is what makes a 4096-rank allreduce feasible on a laptop.
-//
-// The two modes execute identical runtime semantics over identical wire
-// protocols; the differential suite in internal/mpicore holds them to
-// bit-identical results.
-type ProgressMode string
-
-// Progress modes.
-const (
-	// ProgressGoroutine is goroutine-per-rank (the default; "" means this).
-	ProgressGoroutine ProgressMode = "goroutine"
-	// ProgressEvent is the single-token event-driven scheduler.
-	ProgressEvent ProgressMode = "event"
-)
-
-// Validate reports whether the mode is known. The empty string is the
-// default (goroutine) and valid.
-func (m ProgressMode) Validate() error {
-	switch m {
-	case "", ProgressGoroutine, ProgressEvent:
-		return nil
-	}
-	return fmt.Errorf("fabric: unknown progress mode %q", m)
-}
-
-// event reports whether the mode selects the event scheduler.
-func (m ProgressMode) event() bool { return m == ProgressEvent }
-
 // fiberState is one rank fiber's scheduling state.
 type fiberState uint8
 
@@ -60,12 +16,19 @@ const (
 	fiberDone                       // exited
 )
 
-// sched is the event-driven rank scheduler: a single execution token
-// multiplexed over rank fibers. Fibers are real goroutines (Go stacks
-// cannot be swapped by hand) but at most one is unparked at a time, so
-// rank execution is serialized and deterministic: the runnable queue is
-// FIFO, and every state transition is driven by an explicit event (a
-// mailbox push, an exchange completion, a close).
+// sched is the fabric's progress engine: every rank of a world runs as
+// a fiber multiplexed over a single execution token, an event-driven
+// cooperative scheduler. Exactly one rank runs at a time. Blocking on
+// the fabric (an empty mailbox, an incomplete OOB exchange) parks the
+// rank's fiber and hands the token to the next runnable one, and
+// message delivery marks the destination runnable instead of waking an
+// OS thread. Fibers are real goroutines (Go stacks cannot be swapped by
+// hand) but at most one is unparked at a time. The runnable queue is
+// FIFO and every state transition is driven by an explicit event (a
+// mailbox push, an exchange completion, a close), so every run is
+// bit-for-bit reproducible, virtual times included. Mailbox locks are
+// never contended and wakeups are queue appends, which is also what
+// makes a 4096-rank allreduce feasible on a laptop.
 //
 // Lock ordering: data-structure locks (mailbox.mu, OOB.mu) may be held
 // while calling wake/wakeAll — sched.mu is a leaf lock. park must be
@@ -82,6 +45,7 @@ type sched struct {
 	gates   []chan struct{} // per-fiber dispatch signal, cap 1
 	runq    []int           // FIFO of runnable fibers
 	running int             // fiber holding the token, or -1
+	spawned int             // fibers registered so far; none runs until all are
 }
 
 func newSched(n int) *sched {
@@ -100,15 +64,20 @@ func newSched(n int) *sched {
 // spawn registers rank's fiber and starts its goroutine. The goroutine
 // does not run fn until the scheduler dispatches it, and the token is
 // released when fn returns — or panics: the deferred exit keeps one
-// crashing fiber from wedging the whole world.
+// crashing fiber from wedging the whole world. The first dispatch waits
+// for the last rank's spawn: were the first fiber to run while the
+// caller is still spawning, how far the caller got would decide where
+// later spawns land in the run queue relative to the first fiber's
+// wakes, and the run order would depend on the OS scheduler.
 func (s *sched) spawn(rank int, fn func()) {
 	s.mu.Lock()
 	if s.state[rank] != fiberIdle {
 		s.mu.Unlock()
-		panic(fmt.Sprintf("fabric: rank %d spawned twice on an event-mode world", rank))
+		panic(fmt.Sprintf("fabric: rank %d spawned twice", rank))
 	}
 	s.state[rank] = fiberRunnable
 	s.runq = append(s.runq, rank)
+	s.spawned++
 	s.dispatchLocked()
 	s.mu.Unlock()
 	go func() {
@@ -140,7 +109,7 @@ func (s *sched) park(rank int) {
 	if s.state[rank] != fiberRunning {
 		s.mu.Unlock()
 		panic(fmt.Sprintf("fabric: park by rank %d which does not hold the token (state %d); "+
-			"event-mode ranks must be started with World.Spawn", rank, s.state[rank]))
+			"ranks must be started with World.Spawn", rank, s.state[rank]))
 	}
 	if s.pending[rank] {
 		s.pending[rank] = false
@@ -190,10 +159,11 @@ func (s *sched) wakeAll() {
 }
 
 // dispatchLocked hands the token to the next runnable fiber if it is
-// free. Called with s.mu held; the gate send cannot block (cap 1, and
-// the state machine dispatches a fiber at most once per park).
+// free and every rank has been spawned. Called with s.mu held; the gate
+// send cannot block (cap 1, and the state machine dispatches a fiber at
+// most once per park).
 func (s *sched) dispatchLocked() {
-	if s.running != -1 || len(s.runq) == 0 {
+	if s.running != -1 || len(s.runq) == 0 || s.spawned < len(s.state) {
 		return
 	}
 	r := s.runq[0]
@@ -204,23 +174,9 @@ func (s *sched) dispatchLocked() {
 	s.gates[r] <- struct{}{} //mpivet:allow parksafe -- cap-1 gate owned by the token state machine: a fiber is dispatched at most once per park, so the send never blocks
 }
 
-// Spawn starts fn as rank r's execution context: `go fn()` on a
-// goroutine-mode world, a scheduler fiber on an event-mode world. Every
-// goroutine that drives a rank's endpoint on an event-mode world MUST be
-// started through Spawn — the blocking fabric primitives park the
-// calling fiber, and an unregistered goroutine cannot park.
-func (w *World) Spawn(r int, fn func()) {
-	if w.sched == nil {
-		go fn()
-		return
-	}
-	w.sched.spawn(r, fn)
-}
-
-// Mode returns the world's progress mode.
-func (w *World) Mode() ProgressMode {
-	if w.sched != nil {
-		return ProgressEvent
-	}
-	return ProgressGoroutine
-}
+// Spawn starts fn as rank r's fiber. Every goroutine that drives a
+// rank's endpoint MUST be started through Spawn: the blocking fabric
+// primitives park the calling fiber, and an unregistered goroutine
+// cannot park. No fiber runs until every rank of the world has been
+// spawned; the fibers then start in spawn order.
+func (w *World) Spawn(r int, fn func()) { w.sched.spawn(r, fn) }

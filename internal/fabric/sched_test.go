@@ -4,28 +4,18 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/simnet"
 )
 
-func TestProgressModeValidate(t *testing.T) {
-	for _, m := range []ProgressMode{"", ProgressGoroutine, ProgressEvent} {
-		if err := m.Validate(); err != nil {
-			t.Errorf("Validate(%q) = %v, want nil", m, err)
-		}
-	}
-	if err := ProgressMode("threads").Validate(); err == nil {
-		t.Error("Validate(\"threads\") = nil, want error")
-	}
-}
-
-// eventWorld builds an event-mode single-node world (a scheduler bug in
-// event mode shows up as a silent hang, never a crash — pair with join).
+// eventWorld builds a single-node world (a scheduler bug shows up as a
+// silent hang, never a crash — pair with join).
 func eventWorld(t *testing.T, n int) *World {
 	t.Helper()
-	w, err := NewWorldMode(simnet.SingleNode(n), ProgressEvent)
+	w, err := NewWorld(simnet.SingleNode(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +31,7 @@ func join(t *testing.T, wg *sync.WaitGroup) {
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("event-mode test timed out (scheduler deadlock)")
+		t.Fatal("test timed out (scheduler deadlock)")
 	}
 }
 
@@ -93,11 +83,11 @@ func TestEventModePingPong(t *testing.T) {
 
 // TestEventModeDeterministicDelivery runs the same many-to-one pattern
 // twice and demands identical arrival order AND identical virtual
-// timestamps: the event scheduler's FIFO run order makes whole runs
+// timestamps: the scheduler's FIFO run order makes whole runs
 // bit-for-bit reproducible.
 func TestEventModeDeterministicDelivery(t *testing.T) {
 	run := func() string {
-		w, err := NewWorldMode(simnet.SingleNode(8), ProgressEvent)
+		w, err := NewWorld(simnet.SingleNode(8))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,15 +129,14 @@ func TestEventModeDeterministicDelivery(t *testing.T) {
 	}
 }
 
-// TestEventModeBlockingOutsideSpawnPanics: on an event-mode world a
-// goroutine not started via Spawn cannot hold the token, so a blocking
-// Recv from it must panic with a pointer at Spawn instead of corrupting
-// the scheduler.
+// TestEventModeBlockingOutsideSpawnPanics: a goroutine not started via
+// Spawn cannot hold the token, so a blocking Recv from it must panic
+// with a pointer at Spawn instead of corrupting the scheduler.
 func TestEventModeBlockingOutsideSpawnPanics(t *testing.T) {
 	w := eventWorld(t, 2)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Recv outside Spawn did not panic on an event-mode world")
+			t.Fatal("Recv outside Spawn did not panic")
 		}
 	}()
 	w.Endpoint(0).Recv()
@@ -213,7 +202,7 @@ func TestEventModeGoexitReleasesToken(t *testing.T) {
 // TestEventModeSpawnTwicePanics: double-registering a rank is a harness
 // bug; the scheduler refuses loudly.
 func TestEventModeSpawnTwicePanics(t *testing.T) {
-	w := eventWorld(t, 2)
+	w := eventWorld(t, 1)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	w.Spawn(0, func() { wg.Done() })
@@ -226,37 +215,22 @@ func TestEventModeSpawnTwicePanics(t *testing.T) {
 	w.Spawn(0, func() {})
 }
 
-// TestGoroutineModeSpawnIsPlainGo: Spawn on a default-mode world must
-// not serialize anything — both ranks run concurrently and can block on
-// each other without a token.
-func TestGoroutineModeSpawnIsPlainGo(t *testing.T) {
-	w, err := NewWorld(simnet.SingleNode(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	if w.Mode() != ProgressGoroutine {
-		t.Fatalf("Mode() = %q, want %q", w.Mode(), ProgressGoroutine)
-	}
+// TestEventModeSpawnWaitsForEveryRank: no fiber runs before the last rank is
+// spawned, however slowly the caller spawns them, so the run order
+// cannot depend on how far the caller got when the first fiber parked.
+func TestEventModeSpawnWaitsForEveryRank(t *testing.T) {
+	w := eventWorld(t, 2)
+	var ran atomic.Bool
 	var wg sync.WaitGroup
-	for r := 0; r < 2; r++ {
-		r := r
-		wg.Add(1)
-		w.Spawn(r, func() {
-			defer wg.Done()
-			ep := w.Endpoint(r)
-			e := GetEnvelope()
-			e.Dst = 1 - r
-			e.Payload = []byte{byte(r)}
-			ep.Send(e)
-			in := ep.Recv()
-			if in == nil || in.Payload[0] != byte(1-r) {
-				t.Errorf("rank %d: bad echo %+v", r, in)
-			}
-			if in != nil {
-				PutEnvelope(in)
-			}
-		})
+	wg.Add(2)
+	w.Spawn(0, func() { defer wg.Done(); ran.Store(true) })
+	time.Sleep(10 * time.Millisecond)
+	if ran.Load() {
+		t.Fatal("rank 0 ran before rank 1 was spawned")
 	}
+	w.Spawn(1, func() { defer wg.Done() })
 	join(t, &wg)
+	if !ran.Load() {
+		t.Fatal("rank 0 never ran")
+	}
 }

@@ -57,9 +57,6 @@ type Options struct {
 	// directory: figures re-run over unchanged code and options serve
 	// their scenarios from disk instead of re-executing them.
 	Cache string
-	// Progress selects the rank execution engine for every scenario
-	// world (default goroutine-per-rank; "event" for large-rank runs).
-	Progress core.ProgressMode
 }
 
 // Full returns the paper-scale configuration.
@@ -85,7 +82,6 @@ func (o Options) matrixOptions(scratch string) scenario.Options {
 		MaxSize: o.MaxSize, Iters: o.Iters, Warmup: o.Warmup, ItersLarge: o.ItersLarge,
 		AppScale: o.AppScale, Parallel: o.Parallel, Timeout: timeout,
 		BaseSeed: o.Seed, Scratch: scratch, CacheDir: o.Cache,
-		Progress: o.Progress,
 	}
 }
 
@@ -112,16 +108,16 @@ func runMatrix(specs []scenario.Spec, o Options, scratch string) (*scenario.Repo
 // findResult resolves one scenario in a report, with a real error
 // instead of a nil dereference when the cell is absent. Figures run
 // their own matrices (every spec is guaranteed a result), but the same
-// queries also run over externally supplied reports — a single shard or
-// a bad merge can lack cells, and the error says which one and why.
-// The queries themselves behave identically over merged and unsharded
-// reports: MergeReports guarantees ID-sorted results and Find falls
-// back to a linear scan for unsorted hand-assembled ones.
+// queries also run over externally supplied reports — a partial run
+// (-apps, -faults=false) can lack cells, and the error says which one
+// and why. The queries behave identically over reports from Run and
+// from a matrixd server: both are ID-sorted, and Find falls back to a
+// linear scan for unsorted hand-assembled ones.
 func findResult(rep *scenario.Report, id string) (*scenario.Result, error) {
 	if res := rep.Find(id); res != nil {
 		return res, nil
 	}
-	return nil, fmt.Errorf("harness: scenario %s missing from report (a single shard? merge every shard report first)", id)
+	return nil, fmt.Errorf("harness: scenario %s missing from report (a partial matrix run?)", id)
 }
 
 // Series is one plotted line (or bar group).

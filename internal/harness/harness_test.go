@@ -3,6 +3,7 @@ package harness
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -46,37 +47,19 @@ func TestFigureServedFromCache(t *testing.T) {
 	}
 }
 
-// The figure queries answer identically over a merged report and the
-// unsharded report it reassembles — the merge contract seen from the
-// harness side.
+// The figure queries answer identically over the report of one Run and
+// a report assembled from two workers' halves of the same cells (what a
+// matrixd server does with its workers' uploads). Virtual time is exact,
+// so the halves re-run live and must reproduce every curve bit for bit.
 func TestQueriesOverMergedReports(t *testing.T) {
 	specs := fourSpecs("osu.alltoall")
 	mo := tiny().matrixOptions("")
 
 	whole := scenario.Run(specs, mo)
-	// Re-running shards live would re-measure (virtual metrics wiggle
-	// sub-percent across runs), so shard the *results*: split whole's
-	// cells into two partial reports and merge them back.
-	half := len(whole.Results) / 2
-	mkPartial := func(results []scenario.Result) *scenario.Report {
-		r := *whole
-		r.Results = append([]scenario.Result(nil), results...)
-		r.Scenarios = len(r.Results)
-		r.Passed, r.Failed = 0, 0
-		for _, res := range r.Results {
-			if res.Status == scenario.StatusPass {
-				r.Passed++
-			} else {
-				r.Failed++
-			}
-		}
-		r.Provenance = &scenario.Provenance{Live: len(r.Results)}
-		return &r
-	}
-	merged, err := scenario.MergeReports(mkPartial(whole.Results[:half]), mkPartial(whole.Results[half:]))
-	if err != nil {
-		t.Fatal(err)
-	}
+	half := len(specs) / 2
+	// Upload order is arbitrary: assemble the second worker's cells first.
+	results := append(scenario.Run(specs[half:], mo).Results, scenario.Run(specs[:half], mo).Results...)
+	merged := scenario.AssembleReport(mo, results, 0)
 
 	for _, sp := range specs {
 		w, err := findResult(whole, sp.ID())
@@ -85,22 +68,22 @@ func TestQueriesOverMergedReports(t *testing.T) {
 		}
 		m, err := findResult(merged, sp.ID())
 		if err != nil {
-			t.Fatalf("merged report lost %s: %v", sp.ID(), err)
+			t.Fatalf("assembled report lost %s: %v", sp.ID(), err)
 		}
 		if w.ID != m.ID || w.Status != m.Status {
-			t.Fatalf("query diverges over merged report: %+v vs %+v", w, m)
+			t.Fatalf("query diverges over assembled report: %+v vs %+v", w, m)
 		}
 		if (w.Curve == nil) != (m.Curve == nil) {
 			t.Fatalf("%s: curve presence diverges", sp.ID())
 		}
-		if w.Curve != nil && w.Curve.MedianUS[0] != m.Curve.MedianUS[0] {
-			t.Fatalf("%s: curve diverges over merged report", sp.ID())
+		if w.Curve != nil && !reflect.DeepEqual(w.Curve, m.Curve) {
+			t.Fatalf("%s: curve diverges over assembled report", sp.ID())
 		}
 	}
 
-	// And a single shard alone answers findResult with a real error, not
-	// a nil dereference, for the cells it does not own.
-	lone := mkPartial(whole.Results[:1])
+	// And a partial report answers findResult with a real error, not a
+	// nil dereference, for the cells it lacks.
+	lone := scenario.AssembleReport(mo, whole.Results[:1], 0)
 	missing := 0
 	for _, sp := range specs {
 		if _, err := findResult(lone, sp.ID()); err != nil {

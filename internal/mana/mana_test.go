@@ -24,24 +24,25 @@ func runWrapped(t *testing.T, impl string, n int, fn func(w *Wrapper, rank int) 
 		t.Fatal(err)
 	}
 	defer world.Close()
-	errs := make(chan error, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for r := 0; r < n; r++ {
+		r := r
 		wg.Add(1)
-		go func(r int) {
+		world.Spawn(r, func() {
 			defer wg.Done()
 			shim, err := mukautuva.Load(impl, world, r, mukautuva.DefaultConfig())
 			if err != nil {
-				errs <- err
+				errs[r] = err
 				world.Close()
 				return
 			}
 			w := NewWrapper(shim, world, r, DefaultConfig())
 			if err := fn(w, r); err != nil {
-				errs <- fmt.Errorf("rank %d: %w", r, err)
+				errs[r] = fmt.Errorf("rank %d: %w", r, err)
 				world.Close()
 			}
-		}(r)
+		})
 	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
@@ -50,9 +51,10 @@ func runWrapped(t *testing.T, impl string, n int, fn func(w *Wrapper, rank int) 
 	case <-time.After(30 * time.Second):
 		t.Fatal("wrapped SPMD test timed out")
 	}
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
 	}
 }
 
@@ -257,8 +259,9 @@ func TestBlobRoundTripAndReplay(t *testing.T) {
 	blobs := make([][]byte, n)
 	var wg sync.WaitGroup
 	for r := 0; r < n; r++ {
+		r := r
 		wg.Add(1)
-		go func(r int) {
+		world1.Spawn(r, func() {
 			defer wg.Done()
 			shim, err := mukautuva.Load("mpich", world1, r, mukautuva.DefaultConfig())
 			if err != nil {
@@ -290,7 +293,7 @@ func TestBlobRoundTripAndReplay(t *testing.T) {
 				return
 			}
 			blobs[r] = blob
-		}(r)
+		})
 	}
 	wg.Wait()
 	if t.Failed() {
@@ -303,8 +306,9 @@ func TestBlobRoundTripAndReplay(t *testing.T) {
 	}
 	defer world2.Close()
 	for r := 0; r < n; r++ {
+		r := r
 		wg.Add(1)
-		go func(r int) {
+		world2.Spawn(r, func() {
 			defer wg.Done()
 			shim, err := mukautuva.Load("openmpi", world2, r, mukautuva.DefaultConfig())
 			if err != nil {
@@ -325,7 +329,7 @@ func TestBlobRoundTripAndReplay(t *testing.T) {
 					t.Errorf("rank %d: comm vid %v unusable after replay: %v", r, vid, err)
 				}
 			}
-		}(r)
+		})
 	}
 	wg.Wait()
 }

@@ -22,17 +22,18 @@ func runSPMD(t *testing.T, n int, fn func(p *Proc) error) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	errs := make(chan error, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for r := 0; r < n; r++ {
+		r := r
 		wg.Add(1)
-		go func(r int) {
+		w.Spawn(r, func() {
 			defer wg.Done()
 			if err := fn(Init(w, r)); err != nil {
-				errs <- fmt.Errorf("rank %d: %w", r, err)
+				errs[r] = fmt.Errorf("rank %d: %w", r, err)
 				w.Close() // release peers blocked in Recv
 			}
-		}(r)
+		})
 	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
@@ -41,9 +42,10 @@ func runSPMD(t *testing.T, n int, fn func(p *Proc) error) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("SPMD test timed out (likely deadlock)")
 	}
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
 	}
 }
 
@@ -728,18 +730,18 @@ func TestVirtualTimeAdvances(t *testing.T) {
 	var t0, t1 simnet.Time
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() {
+	w.Spawn(0, func() {
 		defer wg.Done()
 		p := Init(w, 0)
 		p.Send(make([]byte, 4096), 4096, TypeHandle(types.KindByte), 1, 0, CommWorld)
 		t0 = w.Endpoint(0).Clock().Now()
-	}()
-	go func() {
+	})
+	w.Spawn(1, func() {
 		defer wg.Done()
 		p := Init(w, 1)
 		p.Recv(make([]byte, 4096), 4096, TypeHandle(types.KindByte), 0, 0, CommWorld, nil)
 		t1 = w.Endpoint(1).Clock().Now()
-	}()
+	})
 	wg.Wait()
 	if t0 <= 0 || t1 <= t0 {
 		t.Fatalf("virtual time not advancing: sender=%v receiver=%v", t0, t1)

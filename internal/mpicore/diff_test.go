@@ -13,20 +13,15 @@ import (
 	"repro/internal/types"
 )
 
-// Differential mode-equivalence suite: the goroutine and event progress
-// engines must be indistinguishable through the runtime's API. Every
-// workload here runs under both modes (and event mode twice, since it
-// also claims determinism) and the per-rank digests and error classes
-// must agree bit for bit — p2p soaks, wildcard funnels, every collective
-// family, derived communicators, and a full ULFM kill→revoke→shrink→
-// agree recovery cycle.
-//
-// Digests deliberately exclude virtual timestamps: on multi-node
-// networks the jitter RNG is consumed in delivery order, so times are a
-// property of the schedule, not of the computation. What the suite pins
-// down is the MPI-visible contract — payload bytes, statuses folded
-// commutatively where matching is nondeterministic by spec, and error
-// codes.
+// Differential determinism suite: every workload runs twice on fresh
+// worlds and the per-rank digests and error classes must agree bit for
+// bit — p2p soaks, wildcard funnels, every collective family, derived
+// communicators, and a full ULFM kill→revoke→shrink→agree recovery
+// cycle. Digests cover the MPI-visible contract (payload bytes,
+// statuses folded commutatively where matching is nondeterministic by
+// spec, error codes) and each rank's final virtual clock: the fiber
+// scheduler runs ranks in a fixed order, so virtual time is a pure
+// function of the workload too.
 
 // modalResult is one rank's observable outcome.
 type modalResult struct {
@@ -68,16 +63,17 @@ func fillLCG(b []byte, seed uint64) {
 	}
 }
 
-// runModal executes fn on every rank of an n-rank single-node world in
-// the given progress mode and returns the per-rank results.
-func runModal(t *testing.T, n int, pol Policy, mode fabric.ProgressMode, fn func(p *Proc) modalResult) []modalResult {
+// runModal executes fn on every rank of an n-rank single-node world and
+// returns the per-rank results and final virtual clocks.
+func runModal(t *testing.T, n int, pol Policy, fn func(p *Proc) modalResult) ([]modalResult, []simnet.Time) {
 	t.Helper()
-	w, err := fabric.NewWorldMode(simnet.SingleNode(n), mode)
+	w, err := fabric.NewWorld(simnet.SingleNode(n))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
 	results := make([]modalResult, n)
+	clocks := make([]simnet.Time, n)
 	var wg sync.WaitGroup
 	for r := 0; r < n; r++ {
 		r := r
@@ -85,6 +81,7 @@ func runModal(t *testing.T, n int, pol Policy, mode fabric.ProgressMode, fn func
 		w.Spawn(r, func() {
 			defer wg.Done()
 			results[r] = fn(NewProc(w, r, testConsts, testCodes, pol))
+			clocks[r] = w.Endpoint(r).Clock().Now()
 		})
 	}
 	done := make(chan struct{})
@@ -92,25 +89,21 @@ func runModal(t *testing.T, n int, pol Policy, mode fabric.ProgressMode, fn func
 	select {
 	case <-done:
 	case <-time.After(60 * time.Second):
-		t.Fatalf("differential workload timed out in %q mode", mode)
+		t.Fatal("differential workload timed out")
 	}
-	return results
+	return results, clocks
 }
 
-// assertModesAgree runs the workload under goroutine mode once and event
-// mode twice, then demands bit-identical per-rank outcomes — both across
-// modes (equivalence) and across the two event runs (determinism).
-func assertModesAgree(t *testing.T, n int, pol Policy, fn func(p *Proc) modalResult) {
+// assertRunsAgree runs the workload twice and demands bit-identical
+// per-rank outcomes, virtual clocks included.
+func assertRunsAgree(t *testing.T, n int, pol Policy, fn func(p *Proc) modalResult) {
 	t.Helper()
-	gor := runModal(t, n, pol, fabric.ProgressGoroutine, fn)
-	ev1 := runModal(t, n, pol, fabric.ProgressEvent, fn)
-	ev2 := runModal(t, n, pol, fabric.ProgressEvent, fn)
+	first, firstClk := runModal(t, n, pol, fn)
+	second, secondClk := runModal(t, n, pol, fn)
 	for r := 0; r < n; r++ {
-		if gor[r] != ev1[r] {
-			t.Errorf("rank %d diverged across modes: goroutine %+v vs event %+v", r, gor[r], ev1[r])
-		}
-		if ev1[r] != ev2[r] {
-			t.Errorf("rank %d nondeterministic in event mode: %+v vs %+v", r, ev1[r], ev2[r])
+		if first[r] != second[r] || firstClk[r] != secondClk[r] {
+			t.Errorf("rank %d nondeterministic: %+v at %v vs %+v at %v",
+				r, first[r], firstClk[r], second[r], secondClk[r])
 		}
 	}
 }
@@ -289,7 +282,7 @@ func collectiveSweep(seed uint64, count int) func(p *Proc) modalResult {
 
 // derivedComms splits the world into parity halves, reduces within each
 // half, then allgathers over a dup of the world — communicator creation
-// (CID agreement) and collectives on derived comms under both engines.
+// (CID agreement) and collectives on derived comms.
 func derivedComms(seed uint64) func(p *Proc) modalResult {
 	return func(p *Proc) modalResult {
 		me, n := p.Rank(), p.Size()
@@ -328,8 +321,8 @@ func derivedComms(seed uint64) func(p *Proc) modalResult {
 // survivor observes ErrRevoked; then all survivors shrink, agree, and
 // complete a collective on the shrunken communicator. The error class
 // each rank records is forced by construction, so it must be identical
-// across engines — the suite's strongest claim, since fault timing is
-// where schedules differ most.
+// across runs — the suite's strongest claim, since fault timing is where
+// a schedule would show any nondeterminism first.
 func ulfmRecoveryCycle(seed uint64) func(p *Proc) modalResult {
 	return func(p *Proc) modalResult {
 		me, n := p.Rank(), p.Size()
@@ -391,7 +384,7 @@ func ulfmRecoveryCycle(seed uint64) func(p *Proc) modalResult {
 }
 
 // TestModeEquivalence is the differential matrix: seeds × policies ×
-// workloads, goroutine vs event (×2) per cell.
+// workloads, two runs per cell.
 func TestModeEquivalence(t *testing.T) {
 	type workload struct {
 		name string
@@ -411,23 +404,22 @@ func TestModeEquivalence(t *testing.T) {
 			for _, seed := range []uint64{1, 0xC0FFEE} {
 				t.Run(fmt.Sprintf("%s/%s/seed=%d", polName, wl.name, seed), func(t *testing.T) {
 					pol := pol
-					assertModesAgree(t, wl.n, pol, wl.fn(seed))
+					assertRunsAgree(t, wl.n, pol, wl.fn(seed))
 				})
 			}
 		}
 	}
 }
 
-// TestEventModeWorksAtScale is a correctness (not bench) smoke at a rank
-// count the goroutine engine only reaches painfully: a 512-rank
-// allreduce + barrier in event mode with verified math.
+// TestEventModeWorksAtScale is a correctness (not bench) smoke at a
+// large rank count: a 512-rank allreduce + barrier with verified math.
 func TestEventModeWorksAtScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("512-rank world in -short mode")
 	}
 	const n = 512
 	pol := testPolicies()["treeish"]
-	res := runModal(t, n, pol, fabric.ProgressEvent, func(p *Proc) modalResult {
+	res, _ := runModal(t, n, pol, func(p *Proc) modalResult {
 		c := p.CommWorld
 		it := p.Predef(types.KindInt64)
 		sum := p.PredefOp(ops.OpSum)

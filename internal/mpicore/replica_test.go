@@ -14,7 +14,7 @@ import (
 )
 
 // Replica-layer differential suite: the dedup and promotion machinery
-// must behave identically under both progress engines, and a replicated
+// must behave identically across runs, virtual clocks included, and a replicated
 // run's surviving replicas must reproduce the UNREPLICATED fault-free
 // digests bit for bit — replication's whole contract is that nothing
 // above the replica layer can tell it is there. The edge cases here are
@@ -24,17 +24,18 @@ import (
 // proc-failed class on the survivors, not hang them).
 
 // runModalReplicated executes fn on every PHYSICAL rank (2n of them) of
-// an n-logical-rank replicated world in the given progress mode and
-// returns the per-physical-rank results: primaries at [0,n), shadows at
+// an n-logical-rank replicated world and returns the per-physical-rank
+// results and final virtual clocks: primaries at [0,n), shadows at
 // [n,2n).
-func runModalReplicated(t *testing.T, n int, pol Policy, mode fabric.ProgressMode, fn func(p *Proc) modalResult) []modalResult {
+func runModalReplicated(t *testing.T, n int, pol Policy, fn func(p *Proc) modalResult) ([]modalResult, []simnet.Time) {
 	t.Helper()
-	w, err := fabric.NewReplicatedWorld(simnet.SingleNode(n), mode)
+	w, err := fabric.NewReplicatedWorld(simnet.SingleNode(n))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
 	results := make([]modalResult, 2*n)
+	clocks := make([]simnet.Time, 2*n)
 	var wg sync.WaitGroup
 	for r := 0; r < 2*n; r++ {
 		r := r
@@ -42,6 +43,7 @@ func runModalReplicated(t *testing.T, n int, pol Policy, mode fabric.ProgressMod
 		w.Spawn(r, func() {
 			defer wg.Done()
 			results[r] = fn(NewProc(w, r, testConsts, testCodes, pol))
+			clocks[r] = w.Endpoint(r).Clock().Now()
 		})
 	}
 	done := make(chan struct{})
@@ -49,9 +51,9 @@ func runModalReplicated(t *testing.T, n int, pol Policy, mode fabric.ProgressMod
 	select {
 	case <-done:
 	case <-time.After(60 * time.Second):
-		t.Fatalf("replicated workload timed out in %q mode", mode)
+		t.Fatal("replicated workload timed out")
 	}
-	return results
+	return results, clocks
 }
 
 // replKill schedules one fail-stop event inside replCycle: after step's
@@ -110,23 +112,20 @@ func replCycle(seed uint64, steps int, kills []replKill) func(p *Proc) modalResu
 	}
 }
 
-// assertReplicatedModesAgree runs the replicated workload under
-// goroutine mode once and event mode twice and demands bit-identical
-// per-physical-rank outcomes, the same bar as assertModesAgree.
-func assertReplicatedModesAgree(t *testing.T, n int, pol Policy, fn func(p *Proc) modalResult) []modalResult {
+// assertReplicatedRunsAgree runs the replicated workload twice and
+// demands bit-identical per-physical-rank outcomes, the same bar as
+// assertRunsAgree.
+func assertReplicatedRunsAgree(t *testing.T, n int, pol Policy, fn func(p *Proc) modalResult) []modalResult {
 	t.Helper()
-	gor := runModalReplicated(t, n, pol, fabric.ProgressGoroutine, fn)
-	ev1 := runModalReplicated(t, n, pol, fabric.ProgressEvent, fn)
-	ev2 := runModalReplicated(t, n, pol, fabric.ProgressEvent, fn)
+	first, firstClk := runModalReplicated(t, n, pol, fn)
+	second, secondClk := runModalReplicated(t, n, pol, fn)
 	for r := 0; r < 2*n; r++ {
-		if gor[r] != ev1[r] {
-			t.Errorf("physical rank %d diverged across modes: goroutine %+v vs event %+v", r, gor[r], ev1[r])
-		}
-		if ev1[r] != ev2[r] {
-			t.Errorf("physical rank %d nondeterministic in event mode: %+v vs %+v", r, ev1[r], ev2[r])
+		if first[r] != second[r] || firstClk[r] != secondClk[r] {
+			t.Errorf("physical rank %d nondeterministic: %+v at %v vs %+v at %v",
+				r, first[r], firstClk[r], second[r], secondClk[r])
 		}
 	}
-	return gor
+	return first
 }
 
 // TestReplicaPromotionDedup kills a primary mid-run and keeps computing
@@ -134,14 +133,13 @@ func assertReplicatedModesAgree(t *testing.T, n int, pol Policy, fn func(p *Proc
 // two copies per send (one per surviving sender replica) to the
 // promoted shadow, so the dedup table is exercised exactly where it is
 // hardest — on a receiver that just changed roles. Every surviving
-// replica must finish with the unreplicated fault-free digest, under
-// both engines.
+// replica must finish with the unreplicated fault-free digest.
 func TestReplicaPromotionDedup(t *testing.T) {
 	const n, victim, steps = 4, 2, 6
 	for polName, pol := range testPolicies() {
 		t.Run(polName, func(t *testing.T) {
-			ref := runModal(t, n, pol, fabric.ProgressGoroutine, replCycle(7, steps, nil))
-			res := assertReplicatedModesAgree(t, n, pol, replCycle(7, steps, []replKill{
+			ref, _ := runModal(t, n, pol, replCycle(7, steps, nil))
+			res := assertReplicatedRunsAgree(t, n, pol, replCycle(7, steps, []replKill{
 				{step: 1, ranks: []int{victim}, trigger: victim},
 			}))
 			for lr := 0; lr < n; lr++ {
@@ -172,8 +170,8 @@ func TestReplicaPromotionDedup(t *testing.T) {
 func TestReplicaShadowDiesFirst(t *testing.T) {
 	const n, victim, steps = 4, 1, 6
 	pol := testPolicies()["treeish"]
-	ref := runModal(t, n, pol, fabric.ProgressGoroutine, replCycle(11, steps, nil))
-	res := assertReplicatedModesAgree(t, n, pol, replCycle(11, steps, []replKill{
+	ref, _ := runModal(t, n, pol, replCycle(11, steps, nil))
+	res := assertReplicatedRunsAgree(t, n, pol, replCycle(11, steps, []replKill{
 		{step: 1, ranks: []int{victim + n}, trigger: victim + n},
 	}))
 	for lr := 0; lr < n; lr++ {
@@ -261,7 +259,7 @@ func replDoubleDeath(seed uint64, victim int) func(p *Proc) modalResult {
 func TestReplicaDoubleDeath(t *testing.T) {
 	const n, victim = 4, 2
 	pol := testPolicies()["treeish"]
-	res := assertReplicatedModesAgree(t, n, pol, replDoubleDeath(13, victim))
+	res := assertReplicatedRunsAgree(t, n, pol, replDoubleDeath(13, victim))
 	for lr := 0; lr < n; lr++ {
 		want := testCodes.ErrRevoked
 		switch lr {
@@ -289,8 +287,8 @@ func TestReplicaDigestsMatchAcrossPolicies(t *testing.T) {
 	const n, steps = 4, 4
 	for polName, pol := range testPolicies() {
 		t.Run(fmt.Sprintf("%s", polName), func(t *testing.T) {
-			ref := runModal(t, n, pol, fabric.ProgressGoroutine, replCycle(3, steps, nil))
-			res := assertReplicatedModesAgree(t, n, pol, replCycle(3, steps, nil))
+			ref, _ := runModal(t, n, pol, replCycle(3, steps, nil))
+			res := assertReplicatedRunsAgree(t, n, pol, replCycle(3, steps, nil))
 			for lr := 0; lr < n; lr++ {
 				if res[lr] != ref[lr] || res[lr+n] != ref[lr] {
 					t.Errorf("logical %d: primary %+v shadow %+v != reference %+v",

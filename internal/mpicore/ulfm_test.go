@@ -2,6 +2,7 @@ package mpicore
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/fabric"
@@ -10,7 +11,8 @@ import (
 )
 
 // ulfmWorld builds a world plus one runtime instance per rank without
-// spawning goroutines (single-threaded tests drive ranks by hand).
+// spawning fibers (single-threaded tests drive ranks by hand, and only
+// while every blocking call they make has its completion queued).
 func ulfmWorld(t *testing.T, n int, pol Policy) (*fabric.World, []*Proc) {
 	t.Helper()
 	w, err := fabric.NewWorld(simnet.SingleNode(n))
@@ -118,7 +120,7 @@ func TestAnySourceAckCycle(t *testing.T) {
 // communicator creation — while Shrink and Agree still work.
 func TestRevokePoisonsEverythingButULFM(t *testing.T) {
 	pol := testPolicies()["treeish"]
-	_, procs := ulfmWorld(t, 2, pol)
+	w, procs := ulfmWorld(t, 2, pol)
 	p0, p1 := procs[0], procs[1]
 	if code := p0.CommRevoke(p0.CommWorld); code != testCodes.Success {
 		t.Fatalf("revoke = %d", code)
@@ -163,19 +165,24 @@ func TestRevokePoisonsEverythingButULFM(t *testing.T) {
 	}
 	// Shrink still works on the revoked communicator (no one died, so it
 	// reproduces the full membership under a fresh cid) — driven from
-	// both ranks via goroutines since it communicates.
+	// both ranks' fibers since it communicates.
 	type res struct {
 		nc   *Comm
 		code int
 	}
-	out := make(chan res, 2)
-	for _, p := range procs {
-		go func(p *Proc) {
+	out := make([]res, 2)
+	var wg sync.WaitGroup
+	for r, p := range procs {
+		r, p := r, p
+		wg.Add(1)
+		w.Spawn(r, func() {
+			defer wg.Done()
 			nc, code := p.CommShrink(p.CommWorld)
-			out <- res{nc, code}
-		}(p)
+			out[r] = res{nc, code}
+		})
 	}
-	a, b := <-out, <-out
+	wg.Wait()
+	a, b := out[0], out[1]
 	if a.code != testCodes.Success || b.code != testCodes.Success {
 		t.Fatalf("shrink codes = %d, %d", a.code, b.code)
 	}

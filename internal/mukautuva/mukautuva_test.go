@@ -25,23 +25,24 @@ func runStd(t *testing.T, impl string, n int, fn func(s *Shim, rank int) error) 
 		t.Fatal(err)
 	}
 	defer w.Close()
-	errs := make(chan error, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for r := 0; r < n; r++ {
+		r := r
 		wg.Add(1)
-		go func(r int) {
+		w.Spawn(r, func() {
 			defer wg.Done()
 			s, err := Load(impl, w, r, DefaultConfig())
 			if err != nil {
-				errs <- err
+				errs[r] = err
 				w.Close()
 				return
 			}
 			if err := fn(s, r); err != nil {
-				errs <- fmt.Errorf("rank %d: %w", r, err)
+				errs[r] = fmt.Errorf("rank %d: %w", r, err)
 				w.Close()
 			}
-		}(r)
+		})
 	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
@@ -50,9 +51,10 @@ func runStd(t *testing.T, impl string, n int, fn func(s *Shim, rank int) error) 
 	case <-time.After(30 * time.Second):
 		t.Fatalf("SPMD test on %s timed out", impl)
 	}
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
 	}
 }
 

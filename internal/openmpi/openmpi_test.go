@@ -20,17 +20,18 @@ func runSPMD(t *testing.T, n int, fn func(p *Proc) error) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	errs := make(chan error, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for r := 0; r < n; r++ {
+		r := r
 		wg.Add(1)
-		go func(r int) {
+		w.Spawn(r, func() {
 			defer wg.Done()
 			if err := fn(Init(w, r)); err != nil {
-				errs <- fmt.Errorf("rank %d: %w", r, err)
+				errs[r] = fmt.Errorf("rank %d: %w", r, err)
 				w.Close()
 			}
-		}(r)
+		})
 	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
@@ -39,9 +40,10 @@ func runSPMD(t *testing.T, n int, fn func(p *Proc) error) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("SPMD test timed out (likely deadlock)")
 	}
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
 	}
 }
 

@@ -38,7 +38,12 @@ import (
 //	   interception hooks; the hooks are no-ops on unreplicated worlds,
 //	   but the paths' semantics are owned by new code, so v3 results
 //	   must re-run rather than be trusted across the boundary.
-const EngineVersion = 4
+//	5: one progress engine. Every world now runs its ranks as fibers of
+//	   the fabric's single-token scheduler, which resolves NIC contention
+//	   in a fixed order; the old default ran one OS-scheduled goroutine
+//	   per rank. Virtual times under the new default differ from v4's, so
+//	   v4 results must re-run.
+const EngineVersion = 5
 
 // CellHash is the content address of one matrix cell: a stable SHA-256
 // over everything that determines the cell's Result.
@@ -46,9 +51,9 @@ const EngineVersion = 4
 // The preimage is the canonical JSON of (EngineVersion, Spec, the
 // report-serialized Options fields, and the derived per-repetition
 // seeds). Options fields excluded from report JSON — Parallel, Scratch,
-// CacheDir, Shard — are excluded here too, deliberately: pool width,
-// scratch location and shard membership never change a cell's result,
-// so they must not change its address. Conversely, every serialized
+// CacheDir, Store — are excluded here too, deliberately: pool width and
+// where images and results are kept never change a cell's result, so
+// they must not change its address. Conversely, every serialized
 // field (cluster shape, repetition count, sweep sizes, timeout, base
 // seed, checkpoint interval, retry budget) is part of the identity, and
 // changing any of them re-runs the cell. This is the cache invalidation
@@ -77,7 +82,7 @@ func CellHash(s Spec, o Options) string {
 
 // Cache is a persistent, content-addressed store of completed cell
 // Results, shared safely between concurrent workers and concurrent
-// processes (shards pointing at one directory). Entries live at
+// processes pointing at one directory. Entries live at
 // <dir>/<hash[:2]>/<hash>.json and are written atomically (temp file +
 // rename), so a reader never observes a half-written entry; two
 // processes racing to write the same hash write the same bytes, and

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -51,12 +52,12 @@ func TestCellHashStableAndComplete(t *testing.T) {
 	}
 
 	// Run-local knobs must NOT change the address: pool width, scratch
-	// and cache paths, shard membership never affect a cell's result.
+	// and cache paths, the result store never affect a cell's result.
 	for name, mutate := range map[string]func(*Options){
 		"parallel": func(o *Options) { o.Parallel = 1 },
 		"scratch":  func(o *Options) { o.Scratch = "/elsewhere" },
 		"cache":    func(o *Options) { o.CacheDir = "/elsewhere" },
-		"shard":    func(o *Options) { o.Shard = Shard{Index: 1, Count: 4} },
+		"store":    func(o *Options) { o.Store = newMapStore() },
 	} {
 		m := o
 		mutate(&m)
@@ -67,39 +68,19 @@ func TestCellHashStableAndComplete(t *testing.T) {
 }
 
 // The pinned hash guards cross-process / cross-revision stability: two
-// shard processes (or two CI runs) must address the same cell with the
+// matrixd workers (or two CI runs) must address the same cell with the
 // same hash, or the cache never hits. If this test breaks, cell
 // identity changed — that invalidates every cached result, which is
 // only correct when intentional: bump EngineVersion and re-pin.
 func TestCellHashPinned(t *testing.T) {
 	s := hashSpec()
 	o := Options{Nodes: 2, RanksPerNode: 4, Reps: 2, MaxSize: 64, Iters: 2, Warmup: 1, BaseSeed: 42}
-	// Re-pinned for EngineVersion 4 (the replication subsystem's
-	// interception hooks in the shared runtime; every v3 result
-	// deliberately invalidated).
-	const want = "9d4a3597cb342a7cd9930ea731e305ca71225f25ea74a5a46d0b1507ae78e45a"
+	// Re-pinned for EngineVersion 5 (one progress engine: default
+	// virtual times changed; every v4 result deliberately invalidated).
+	const want = "feca1a47b920b90ea3e8a9c6a3f222f384955c8b9d7d483391b1ba3487e356b2"
 	if got := CellHash(s, o); got != want {
 		t.Fatalf("pinned cell hash drifted (engine version %d):\n got %s\nwant %s",
 			EngineVersion, got, want)
-	}
-}
-
-// ProgressMode is result-determining (virtual-time folds depend on the
-// delivery schedule), so the event engine must get its own cell address —
-// while the default engine, spelled "" or "goroutine", must hash exactly
-// as it did before the knob existed, keeping every cached result valid.
-func TestCellHashProgressMode(t *testing.T) {
-	s, o := hashSpec(), Quick()
-	base := CellHash(s, o)
-	explicit := o
-	explicit.Progress = core.ProgressGoroutine
-	if CellHash(s, explicit) != base {
-		t.Error("explicit goroutine mode changed the cell address; cached results orphaned")
-	}
-	event := o
-	event.Progress = core.ProgressEvent
-	if CellHash(s, event) == base {
-		t.Error("event mode shares the default engine's cell address")
 	}
 }
 
@@ -302,53 +283,6 @@ func TestCacheWallHints(t *testing.T) {
 	}
 }
 
-func TestShardPartitionDisjointAndExhaustive(t *testing.T) {
-	specs := DefaultMatrix().Enumerate()
-	const n = 4
-	seen := make(map[string]int)
-	sizes := make([]int, n)
-	for i := 0; i < n; i++ {
-		part := Shard{Index: i, Count: n}.Select(specs)
-		sizes[i] = len(part)
-		for _, s := range part {
-			if prev, dup := seen[s.ID()]; dup {
-				t.Fatalf("scenario %s in shards %d and %d", s.ID(), prev, i)
-			}
-			seen[s.ID()] = i
-		}
-	}
-	if len(seen) != len(specs) {
-		t.Fatalf("union covers %d of %d specs", len(seen), len(specs))
-	}
-	for i := 1; i < n; i++ {
-		if d := sizes[i] - sizes[0]; d < -1 || d > 1 {
-			t.Fatalf("unbalanced shards: %v", sizes)
-		}
-	}
-	// Unsharded selectors pass everything through.
-	if got := (Shard{}).Select(specs); len(got) != len(specs) {
-		t.Fatalf("zero shard selected %d of %d", len(got), len(specs))
-	}
-}
-
-func TestShardValidateAndParse(t *testing.T) {
-	for _, bad := range []string{"", "3", "4/4", "-1/4", "1/0", "a/b", "1/4/8", "1/4x", " 1/4"} {
-		if _, err := ParseShard(bad); err == nil {
-			t.Errorf("ParseShard(%q) accepted", bad)
-		}
-	}
-	sh, err := ParseShard("2/4")
-	if err != nil || sh != (Shard{Index: 2, Count: 4}) {
-		t.Fatalf("ParseShard(2/4) = %+v, %v", sh, err)
-	}
-	if err := (Shard{Index: 1, Count: 0}).Validate(); err == nil {
-		t.Error("index without count accepted")
-	}
-	if err := (Shard{}).Validate(); err != nil {
-		t.Errorf("zero shard rejected: %v", err)
-	}
-}
-
 // TestCachePrune: stale-engine and corrupt entries are deleted, live
 // entries survive and still serve.
 func TestCachePrune(t *testing.T) {
@@ -427,5 +361,50 @@ func TestCachePrune(t *testing.T) {
 	// Idempotent.
 	if removed, err := c.Prune(); err != nil || removed != 0 {
 		t.Fatalf("second prune = (%d, %v), want (0, nil)", removed, err)
+	}
+}
+
+// Guard the scenario.Spec surface the cache hash folds in: adding a
+// field to Spec without bumping EngineVersion silently aliases old
+// cache entries. reflect-based field census.
+func TestSpecShapeGuard(t *testing.T) {
+	raw, err := json.Marshal(Spec{Program: "p", Impl: core.ImplMPICH, ABI: core.ABINative,
+		Ckpt: core.CkptMANA, Kernel: KernelModern, RestartImpl: core.ImplOpenMPI,
+		RestartABI: core.ABIMukautuva, Fault: "rank-crash", FaultStep: 1, CkptEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	// 10 serialized fields today. If this fails you added (or removed) a
+	// Spec field: it is part of every cell's content address, so bump
+	// EngineVersion in cache.go and re-pin TestCellHashPinned.
+	if len(m) != 10 {
+		t.Fatalf("Spec serializes %d fields, expected 10 — bump EngineVersion if this is intentional", len(m))
+	}
+}
+
+// Partial runs compose with the cache: four disjoint slices of the
+// matrix run against one cache directory, then a run of the whole
+// matrix executes zero live cells.
+func TestShardsWarmSharedCacheForUnshardedRun(t *testing.T) {
+	withStubRunner(t, richStubRunner)
+	specs := DefaultMatrix().Enumerate()
+	o := Options{Parallel: 2, Reps: 1, CacheDir: t.TempDir()}
+	const n = 4
+	for i := 0; i < n; i++ {
+		var slice []Spec
+		for j := i; j < len(specs); j += n {
+			slice = append(slice, specs[j])
+		}
+		if rep := Run(slice, o); rep.Provenance.Cached != 0 {
+			t.Fatalf("slice %d hit the cache on a cold run: %+v", i, rep.Provenance)
+		}
+	}
+	warm := Run(specs, o)
+	if warm.Provenance.Live != 0 || warm.Provenance.Cached != len(specs) {
+		t.Fatalf("whole-matrix run after partial warmup: %+v", warm.Provenance)
 	}
 }

@@ -63,7 +63,7 @@ type Options struct {
 	// CacheDir, when set, enables the content-addressed result cache:
 	// cells whose CellHash already has a completed (passing) Result are
 	// served from disk instead of executing, and live passing results
-	// are stored back. Safe to share between concurrent shard processes.
+	// are stored back. Safe to share between concurrent processes.
 	// Excluded from reports: the cache location never affects results.
 	CacheDir string `json:"-"`
 	// Store, when set, is the content-addressed result store the run
@@ -73,25 +73,12 @@ type Options struct {
 	// directory implementation"). Excluded from reports for the same
 	// reason CacheDir is: where results are stored never affects them.
 	Store Store `json:"-"`
-	// Shard selects a deterministic 1/Count slice of the (deduplicated)
-	// spec list; the zero value runs everything. Excluded from reports'
-	// options: shard membership is provenance (see Report.Provenance),
-	// not an experiment condition, and merged reports must compare equal
-	// to unsharded ones.
-	Shard Shard `json:"-"`
-	// Progress selects the worlds' rank execution engine (goroutine-
-	// per-rank by default, or the event-driven scheduler for large-rank
-	// runs). omitempty keeps default-mode cell hashes — and therefore
-	// the CI result cache — identical to what they were before the knob
-	// existed; results are mode-invariant by the differential suites, so
-	// an "event" hash differing from the default one is conservative.
-	Progress core.ProgressMode `json:"progress_mode,omitempty"`
 	// TraceDir, when set, writes one Chrome trace-event JSON file per
 	// executed cell (Perfetto-loadable; see internal/trace and
 	// docs/observability.md) to <TraceDir>/<cell-id-path>.json.
 	// Excluded from reports and cell hashes: tracing observes a run, it
-	// never affects one — timestamps are virtual, so with the event
-	// engine the files are byte-deterministic per seed.
+	// never affects one — timestamps are virtual, so the files are
+	// byte-deterministic per seed.
 	TraceDir string `json:"-"`
 	// OnCell, when set, is invoked once per scheduled cell as it
 	// completes (cached or live). Run calls it from its worker
@@ -163,12 +150,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxRestarts <= 0 {
 		o.MaxRestarts = 3
 	}
-	// An explicit "goroutine" is the default spelled out: normalize to the
-	// empty string so both spellings address the same cache cell (the JSON
-	// hash field carries omitempty for exactly this reason).
-	if o.Progress == core.ProgressGoroutine {
-		o.Progress = ""
-	}
 	return o
 }
 
@@ -215,12 +196,11 @@ var runScenario = runOne
 // would race on one checkpoint image directory and be indistinguishable
 // in the report.
 //
-// The incremental layer sits between dedup and the pool: Options.Shard
-// selects this process's deterministic slice of the deduplicated list
-// (dedup first, so every shard partitions the same canonical list), and
-// Options.CacheDir serves cells whose content hash already has a
-// completed Result from disk instead of executing them (such results
-// are marked Cached; see Report.Provenance for the live/cached split).
+// The incremental layer sits between dedup and the pool:
+// Options.Store (or Options.CacheDir) serves cells whose content hash
+// already has a completed Result instead of executing them (such
+// results are marked Cached; see Report.Provenance for the live/cached
+// split).
 func Run(specs []Spec, o Options) *Report {
 	o = o.withDefaults()
 	seen := make(map[string]bool, len(specs))
@@ -231,7 +211,7 @@ func Run(specs []Spec, o Options) *Report {
 			uniq = append(uniq, s)
 		}
 	}
-	specs = o.Shard.Select(uniq)
+	specs = uniq
 	store := o.Store
 	if store == nil && o.CacheDir != "" {
 		// An unopenable cache degrades to a live run, mirroring the
@@ -296,15 +276,14 @@ func Run(specs []Spec, o Options) *Report {
 	return newReport(o, results, time.Since(start)) //mpivet:allow walltime -- wall_ms report metadata; never feeds event order or scenario hashes
 }
 
-// RunCell executes one cell live — no store consult, no shard
-// selection — and returns its Result with the content address stamped.
+// RunCell executes one cell live — no store consult — and returns its
+// Result with the content address stamped.
 // It is the unit of work a matrixd lease names: the scheduler only
 // hands out cells the shared store does not already hold, so the worker
 // goes straight to execution. A missing Options.Scratch gets a private
 // temp directory for the cell's checkpoint images, removed on return.
 func RunCell(s Spec, o Options) Result {
 	o = o.withDefaults()
-	o.Shard = Shard{}
 	if o.Scratch == "" {
 		if dir, err := os.MkdirTemp("", "scenario-cell-*"); err == nil {
 			o.Scratch = dir
@@ -402,7 +381,6 @@ func runFaultRep(s Spec, o Options, rep int, seed int64) (measurement, FaultReco
 	stack.Net.Nodes = o.Nodes
 	stack.Net.RanksPerNode = o.RanksPerNode
 	stack.Net.Seed = seed
-	stack.Progress = o.Progress
 	inj, err := faults.NewInjector(faults.Plan{Faults: []faults.Spec{{
 		Kind: s.Fault, Rank: faults.Anywhere, Node: faults.Anywhere, Step: s.FaultStep,
 	}}}, seed, stack.Net)
@@ -449,7 +427,6 @@ func runFaultRep(s Spec, o Options, rep int, seed int64) (measurement, FaultReco
 	if s.HasRestart() {
 		r := s.RestartStack()
 		r.Net = stack.Net
-		r.Progress = o.Progress
 		pol.RestartStack = &r
 		fr.RestartStack = r.Label()
 	}
@@ -580,7 +557,6 @@ func runRep(s Spec, o Options, rep int, seed int64) (launch, restarted measureme
 	stack.Net.Nodes = o.Nodes
 	stack.Net.RanksPerNode = o.RanksPerNode
 	stack.Net.Seed = seed
-	stack.Progress = o.Progress
 
 	opts := []core.LaunchOption{core.WithConfigure(o.configure(seed)), core.WithTrace(o.sink)}
 	if s.HasRestart() {
@@ -621,7 +597,6 @@ func runRep(s Spec, o Options, rep int, seed int64) (launch, restarted measureme
 	rstack.Net.Nodes = o.Nodes
 	rstack.Net.RanksPerNode = o.RanksPerNode
 	rstack.Net.Seed = seed
-	rstack.Progress = o.Progress
 	rjob, err := core.Restart(filepath.Join(o.Scratch, imgDir), rstack, core.WithTrace(o.sink))
 	if err != nil {
 		return launch, restarted, lin, fmt.Errorf("restart: %w", err)

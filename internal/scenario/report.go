@@ -20,9 +20,9 @@ import (
 // Result.Faults, and Options.CkptEvery/MaxRestarts.
 //
 // v3 added the incremental-execution layer: Result.CellHash/Cached and
-// Report.Provenance (live-vs-cached cell counts, per-shard wall times),
-// so sharded partial reports merge (MergeReports) into one report that
-// still records which cells ran live and where each slice came from.
+// Report.Provenance (live-vs-cached cell counts, per-worker wall times),
+// so a report assembled from many workers still records which cells ran
+// live and where each slice came from.
 //
 // v4 added the recovery-mode axis: Spec.Recovery ("shrink" selects ULFM
 // in-place recovery for rank-crash cells) and the shrink half of
@@ -133,8 +133,8 @@ type Result struct {
 	// CellHash is the cell's content address (see CellHash): a stable
 	// hash of the spec, the result-determining options, the derived
 	// seeds and the engine version. Equal inputs hash equally across
-	// processes and machines, which is what lets shards share a result
-	// cache without coordination.
+	// processes and machines, which is what lets workers share a result
+	// store without coordination.
 	CellHash string `json:"cell_hash,omitempty"`
 	// Cached marks a result served from the on-disk cache instead of a
 	// live execution; its measurements (and WallMS) are those of the run
@@ -150,14 +150,11 @@ func (r Result) Cross() bool {
 	return r.Spec.HasRestart() && r.Spec.RestartImpl != r.Spec.Impl
 }
 
-// ShardInfo is the provenance of one merged slice: which shard of how
-// many it was, how many cells it carried (split live vs cached), and
-// its own elapsed wall time. Count 0 marks a slice that was not a
-// deterministic -shard partition: a partial report merged by hand, or
-// one worker's share of a matrixd work-stealing run (Label then names
-// the worker). Count-0 indices are renumbered at every merge so each
-// slice keeps a distinct identity through merges of merges; Label, the
-// durable name, is never rewritten.
+// ShardInfo is the provenance of one worker's share of a matrixd
+// work-stealing run: Label names the worker, and the entry records how
+// many cells it carried (split live vs cached) and their summed wall
+// time. Index and Count are kept for report-schema compatibility;
+// matrixd leaves them zero.
 type ShardInfo struct {
 	Index     int    `json:"index"`
 	Count     int    `json:"count"`
@@ -170,8 +167,8 @@ type ShardInfo struct {
 
 // Provenance records how the report's results were obtained: how many
 // cells actually executed (Live) versus were served from the result
-// cache (Cached), and — for sharded or merged reports — the per-shard
-// breakdown. It is the schema-v3 answer to "what did this run cost and
+// cache (Cached), and — for reports a matrixd server assembled — the
+// per-worker breakdown. It is the schema-v3 answer to "what did this run cost and
 // can I trust a warm-cache run": a fully warm re-run shows Live 0.
 type Provenance struct {
 	Live   int         `json:"live"`
@@ -181,9 +178,8 @@ type Provenance struct {
 
 // Report is a full matrix run: versioned, ID-sorted, and JSON-stable, so
 // two runs of the same matrix at the same scale diff cleanly. A report
-// may also be one shard of a run (Options.Shard selected a slice of the
-// matrix) or the merge of several shards (MergeReports); the queries
-// below behave identically over all three.
+// may also be assembled from many workers' results (AssembleReport);
+// the queries below behave identically over both.
 type Report struct {
 	SchemaVersion int         `json:"schema_version"`
 	Paper         string      `json:"paper"`
@@ -220,13 +216,6 @@ func newReport(o Options, results []Result, wall time.Duration) *Report {
 			rep.Provenance.Live++
 		}
 	}
-	if sh := o.Shard.normalize(); sh.Count > 1 {
-		rep.Provenance.Shards = []ShardInfo{{
-			Index: sh.Index, Count: sh.Count, Scenarios: len(sorted),
-			Live: rep.Provenance.Live, Cached: rep.Provenance.Cached,
-			WallMS: wall.Milliseconds(),
-		}}
-	}
 	return rep
 }
 
@@ -237,21 +226,20 @@ func newReport(o Options, results []Result, wall time.Duration) *Report {
 // rather than by executing — the matrixd server assembling a
 // work-stealing fleet's run streams results in as workers upload them
 // and reports through this. wall is the total compute cost to record
-// (matrixd sums its workers' per-cell wall times, mirroring
-// MergeReports' sum-not-elapsed semantics). Run-local Options fields
-// are zeroed so the report carries no assembler-machine locals.
+// (matrixd sums its workers' per-cell wall times: total compute spent,
+// not elapsed time). Run-local Options fields are zeroed so the report
+// carries no assembler-machine locals.
 func AssembleReport(o Options, results []Result, wall time.Duration) *Report {
 	o = o.withDefaults()
 	o.Parallel = 0
 	o.Scratch = ""
 	o.CacheDir = ""
 	o.Store = nil
-	o.Shard = Shard{}
 	return newReport(o, results, wall)
 }
 
 // Find returns the result with the given scenario ID, or nil. Reports
-// written by Run or MergeReports are ID-sorted and looked up by binary
+// written by Run or AssembleReport are ID-sorted and looked up by binary
 // search; a hand-assembled (unsorted) report falls back to a linear
 // scan, so queries tolerate partial and merged reports from any source.
 func (r *Report) Find(id string) *Result {

@@ -31,11 +31,11 @@
 // matrix's wall time flat as its axes multiply: every cell has a stable
 // content address (CellHash — spec, result-determining options, derived
 // seeds, engine version), a persistent content-addressed cache (Cache)
-// serves unchanged cells without re-executing them, Options.Shard
-// partitions the enumerated list so independent processes each run a
-// disjoint slice, and MergeReports recombines the partial reports into
-// one — with provenance recording which cells ran live, which came from
-// cache, and what each shard cost.
+// serves unchanged cells without re-executing them, and the report's
+// provenance records which cells ran live and which came from cache.
+// Distributing one run over many processes is internal/scenario/remote's
+// job (cmd/matrixd): every worker leases cells from one server and its
+// shared store.
 package scenario
 
 import (

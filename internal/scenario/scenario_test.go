@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"encoding/json"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -492,8 +493,9 @@ func TestFaultScenariosEndToEnd(t *testing.T) {
 }
 
 // Same seed, same fault: two runs of a fault scenario must resolve the
-// same victims at the same step — the report-diffability guarantee
-// extended to the fault axis.
+// same victims at the same step, with identical fault records and
+// virtual completion times — the report-diffability guarantee extended
+// to the fault axis.
 func TestFaultResolutionDeterministic(t *testing.T) {
 	spec := Spec{Program: "app.wave", Impl: core.ImplMPICH, ABI: core.ABIMukautuva, Ckpt: core.CkptMANA,
 		Fault: faults.KindRankCrash}
@@ -504,10 +506,12 @@ func TestFaultResolutionDeterministic(t *testing.T) {
 		t.Fatalf("runs failed:\n%s\n%s", a.Render(), b.Render())
 	}
 	for i := range ra.Faults {
-		fa, fb := ra.Faults[i], rb.Faults[i]
-		if !reflect.DeepEqual(fa.Ranks, fb.Ranks) || fa.Step != fb.Step || fa.ImageStep != fb.ImageStep {
+		if fa, fb := ra.Faults[i], rb.Faults[i]; !reflect.DeepEqual(fa, fb) {
 			t.Fatalf("rep %d resolved differently:\n%+v\n%+v", i, fa, fb)
 		}
+	}
+	if !reflect.DeepEqual(ra.Time, rb.Time) {
+		t.Fatalf("virtual time-to-solution differs: %+v vs %+v", ra.Time, rb.Time)
 	}
 }
 
@@ -686,20 +690,22 @@ func TestShrinkScenariosEndToEnd(t *testing.T) {
 	}
 
 	// Determinism: a second run resolves the same victims at the same
-	// steps with the same shrink outcomes. The structural fields are
-	// exact; virtual times (DetectVirtMS, completion) carry the engine's
-	// documented near-determinism under simulated NIC contention and are
-	// deliberately not compared — same bar as the restart fault cells.
-	rep2 := Run(specs, faultOptions(t))
+	// steps with the same shrink outcomes and the same virtual times.
+	assertSameFaultRuns(t, specs, rep, Run(specs, faultOptions(t)))
+}
+
+// assertSameFaultRuns is the determinism bar for two runs of the same
+// fault cells: every fault record, detection latency included, and the
+// virtual time-to-solution are exact.
+func assertSameFaultRuns(t *testing.T, specs []Spec, rep, rep2 *Report) {
+	t.Helper()
 	for _, s := range specs {
 		a, b := rep.Find(s.ID()), rep2.Find(s.ID())
-		for i := range a.Faults {
-			fa, fb := a.Faults[i], b.Faults[i]
-			fa.DetectVirtMS, fb.DetectVirtMS = 0, 0
-			if !reflect.DeepEqual(fa, fb) {
-				t.Errorf("%s rep %d: fault records differ across identical runs:\n%+v\n%+v",
-					s.ID(), i, a.Faults[i], b.Faults[i])
-			}
+		if !reflect.DeepEqual(a.Faults, b.Faults) {
+			t.Errorf("%s: fault records differ across identical runs:\n%+v\n%+v", s.ID(), a.Faults, b.Faults)
+		}
+		if !reflect.DeepEqual(a.Time, b.Time) {
+			t.Errorf("%s: completion times differ across identical runs: %+v vs %+v", s.ID(), a.Time, b.Time)
 		}
 	}
 }
@@ -748,18 +754,72 @@ func TestReplicateScenariosEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Determinism: same bar as the shrink cells — structural fields
-	// exact, virtual times deliberately not compared.
-	rep2 := Run(specs, faultOptions(t))
-	for _, s := range specs {
-		a, b := rep.Find(s.ID()), rep2.Find(s.ID())
-		for i := range a.Faults {
-			fa, fb := a.Faults[i], b.Faults[i]
-			fa.DetectVirtMS, fb.DetectVirtMS = 0, 0
-			if !reflect.DeepEqual(fa, fb) {
-				t.Errorf("%s rep %d: fault records differ across identical runs:\n%+v\n%+v",
-					s.ID(), i, a.Faults[i], b.Faults[i])
-			}
+	// Determinism: same bar as the shrink cells.
+	assertSameFaultRuns(t, specs, rep, Run(specs, faultOptions(t)))
+}
+
+func TestFindToleratesUnsortedReports(t *testing.T) {
+	// A hand-assembled report (results not ID-sorted) must still answer
+	// Find correctly via the linear fallback.
+	r := &Report{Results: []Result{
+		{ID: "z/last"}, {ID: "a/first"}, {ID: "m/middle"},
+	}}
+	for _, id := range []string{"z/last", "a/first", "m/middle"} {
+		if got := r.Find(id); got == nil || got.ID != id {
+			t.Fatalf("Find(%q) = %+v", id, got)
 		}
+	}
+	if r.Find("q/absent") != nil {
+		t.Fatal("absent ID found")
+	}
+}
+
+// Disjoint slices of one matrix run in separate Runs (what matrixd
+// workers execute) and assembled with AssembleReport (what the matrixd
+// server does with their uploads) are byte-equivalent to the single
+// Run, modulo wall-time and provenance fields — cell-for-cell,
+// including IDs, seeds, hashes and lineage.
+func TestMergedShardsEqualUnshardedRun(t *testing.T) {
+	withStubRunner(t, richStubRunner)
+	specs := DefaultMatrix().Enumerate()
+	o := Options{Parallel: 4, Reps: 2, BaseSeed: 7}
+
+	whole := Run(specs, o)
+	const n = 4
+	var results []Result
+	for i := n - 1; i >= 0; i-- { // upload order is arbitrary
+		var slice []Spec
+		for j := i; j < len(specs); j += n {
+			slice = append(slice, specs[j])
+		}
+		results = append(results, Run(slice, o).Results...)
+	}
+	merged := AssembleReport(o, results, 0)
+	if merged.Scenarios != whole.Scenarios || merged.Passed != whole.Passed || merged.Failed != whole.Failed {
+		t.Fatalf("assembled %d/%d/%d, single run %d/%d/%d",
+			merged.Scenarios, merged.Passed, merged.Failed,
+			whole.Scenarios, whole.Passed, whole.Failed)
+	}
+	if merged.Provenance.Live != len(specs) || merged.Provenance.Cached != 0 {
+		t.Fatalf("assembled live/cached = %d/%d", merged.Provenance.Live, merged.Provenance.Cached)
+	}
+	strip := func(r *Report) string {
+		r.WallMS = 0
+		r.Provenance = nil
+		for i := range r.Results {
+			r.Results[i].WallMS = 0
+		}
+		raw, err := json.MarshalIndent(r, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+	if got, want := strip(merged), strip(whole); got != want {
+		t.Fatalf("assembled report diverges from single run:\nassembled: %.2000s\nsingle:    %.2000s", got, want)
+	}
+	cross := func(r *Report) int { return len(r.Select(Result.Cross)) }
+	if cross(merged) != cross(whole) || cross(merged) == 0 {
+		t.Fatalf("Select(Cross) = %d assembled vs %d single run", cross(merged), cross(whole))
 	}
 }

@@ -2,13 +2,16 @@ package scenario
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
 
 // mapStore is the minimal in-memory Store, with operation counters so
-// tests can see which tier a read was served from.
+// tests can see which tier a read was served from. Run calls it from
+// concurrent workers, so the map is locked.
 type mapStore struct {
+	mu         sync.Mutex
 	m          map[string]Result
 	gets, puts atomic.Int32
 	putErr     error
@@ -18,6 +21,8 @@ func newMapStore() *mapStore { return &mapStore{m: make(map[string]Result)} }
 
 func (s *mapStore) Get(hash string) (Result, bool) {
 	s.gets.Add(1)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	res, ok := s.m[hash]
 	return res, ok
 }
@@ -27,6 +32,8 @@ func (s *mapStore) Put(hash string, res Result) error {
 	if s.putErr != nil {
 		return s.putErr
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.m[hash] = res
 	return nil
 }
@@ -148,7 +155,7 @@ func TestRunUsesInjectedStore(t *testing.T) {
 }
 
 // RunCell is the single-cell entry matrixd workers execute leases with:
-// same defaults, same stamped hash, no shard or store interaction.
+// same defaults, same stamped hash, no store interaction.
 func TestRunCellMatchesRun(t *testing.T) {
 	withStubRunner(t, richStubRunner)
 	specs := DefaultMatrix().Enumerate()[:4]
@@ -165,4 +172,18 @@ func TestRunCellMatchesRun(t *testing.T) {
 			t.Fatalf("RunCell(%s) diverges from Run:\n cell: %+v\n run:  %+v", s.ID(), res, *want)
 		}
 	}
+}
+
+// richStubRunner produces deterministic, structurally rich results so
+// reports from different paths can be compared byte-for-byte.
+func richStubRunner(s Spec, o Options) Result {
+	res := Result{ID: s.ID(), Spec: s, Status: StatusPass, Reps: o.Reps}
+	for rep := 0; rep < o.Reps; rep++ {
+		res.Seeds = append(res.Seeds, seedFor(o.BaseSeed, s.Program, rep))
+	}
+	if s.HasRestart() {
+		res.Lineage = []Lineage{{Rep: 0, Dir: idPath(s.ID()), Step: 1,
+			LaunchStack: string(s.Impl), RestartStack: string(s.RestartImpl)}}
+	}
+	return res
 }

@@ -2,13 +2,14 @@
 // cluster: per-rank virtual clocks, an alpha-beta message cost model, and
 // per-node NIC serialization for contention.
 //
-// The reproduction runs MPI ranks as goroutines inside one OS process, so
+// The reproduction runs MPI ranks as fibers inside one OS process, so
 // wall-clock time says little about what a 4-node 10 GbE cluster would do.
 // Instead, every rank owns a virtual Clock. Message transfers advance the
 // receiver's clock by max(receiver clock, arrival time), where the arrival
 // time is computed from the topology-aware cost model in Network. This is a
-// conservative parallel-discrete-event approximation: it is exact for
-// contention-free traffic and near-deterministic under NIC contention.
+// conservative parallel-discrete-event approximation. NIC contention is
+// resolved in the order the fabric's scheduler runs the senders, which is
+// fixed, so virtual times repeat exactly from run to run.
 //
 // The cost-model defaults (Discovery10GbE) reproduce the paper's Section
 // 5.1 testbed — 4 nodes x 12 ranks on the Discovery cluster's 10 GbE

@@ -22,17 +22,18 @@ func runSPMD(t *testing.T, n int, fn func(b *Binding) error) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	errs := make(chan error, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for r := 0; r < n; r++ {
+		r := r
 		wg.Add(1)
-		go func(r int) {
+		w.Spawn(r, func() {
 			defer wg.Done()
 			if err := fn(Bind(Init(w, r))); err != nil {
-				errs <- fmt.Errorf("rank %d: %w", r, err)
+				errs[r] = fmt.Errorf("rank %d: %w", r, err)
 				w.Close() // release peers blocked in Recv
 			}
-		}(r)
+		})
 	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
@@ -41,9 +42,10 @@ func runSPMD(t *testing.T, n int, fn func(b *Binding) error) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("SPMD test timed out (likely deadlock)")
 	}
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package trace is the runtime's virtual-time event sink: a structured
 // record of what every rank did and when, stamped with the simulated
 // cluster's clocks rather than the host's, so a trace is a deterministic
-// artifact of the seed — two event-mode runs of the same cell produce
+// artifact of the seed — two runs of the same cell produce
 // byte-identical trace files, which makes the trace itself a
-// differential-testing surface between the progress engines.
+// differential-testing surface.
 //
 // The object model mirrors how the runtime executes:
 //
@@ -40,9 +40,7 @@ const SchemaVersion = 1
 
 // Event categories: which layer of the stack emitted the event.
 // CatSched marks engine-internal events (fiber park/wake, batch drains)
-// that exist only under one progress engine — cross-engine comparisons
-// must exclude them; every other category's event multiset is identical
-// between the goroutine and event engines.
+// rather than MPI-visible work.
 const (
 	CatFabric = "fabric" // envelope send/deliver
 	CatSched  = "sched"  // engine-internal: park/wake, batch drain

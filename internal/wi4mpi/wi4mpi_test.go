@@ -23,23 +23,24 @@ func runPreload(t *testing.T, target string, n int, fn func(p *Preload, rank int
 		t.Fatal(err)
 	}
 	defer w.Close()
-	errs := make(chan error, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for r := 0; r < n; r++ {
+		r := r
 		wg.Add(1)
-		go func(r int) {
+		w.Spawn(r, func() {
 			defer wg.Done()
 			p, err := Load(target, w, r, DefaultConfig())
 			if err != nil {
-				errs <- err
+				errs[r] = err
 				w.Close()
 				return
 			}
 			if err := fn(p, r); err != nil {
-				errs <- fmt.Errorf("rank %d: %w", r, err)
+				errs[r] = fmt.Errorf("rank %d: %w", r, err)
 				w.Close()
 			}
-		}(r)
+		})
 	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
@@ -48,9 +49,10 @@ func runPreload(t *testing.T, target string, n int, fn func(p *Preload, rank int
 	case <-time.After(30 * time.Second):
 		t.Fatal("preload SPMD test timed out")
 	}
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
 	}
 }
 
