@@ -176,7 +176,7 @@ func TestCacheCorruptEntryIsAMiss(t *testing.T) {
 	}
 }
 
-// The cache is shared by the pool's workers and by concurrent shard
+// The cache is shared by the pool's workers and by concurrent
 // processes; this is the -race exercise for racing Put/Get on
 // overlapping hash sets.
 func TestCacheConcurrentPutGet(t *testing.T) {

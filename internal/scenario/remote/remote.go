@@ -3,9 +3,10 @@
 // paper's "re-validate the world on every commit" made cheap — one
 // content-addressed store server (cmd/matrixd) serves completed cell
 // results to any number of coordination-free worker processes, and a
-// lease-based work-stealing scheduler replaces static -shard i/n
-// partitioning, whose wall time was gated by whichever shard drew the
-// fault-recovery stragglers.
+// lease-based work-stealing scheduler hands out cells
+// longest-expected-first, so no worker sits idle while another holds
+// the fault-recovery stragglers. It is the one way to spread a matrix
+// run over several processes.
 //
 // The protocol has two halves, both deliberately narrow:
 //
@@ -48,22 +49,22 @@
 //	                     rather than a sleep-length tail; if the hold
 //	                     elapses first, 503 with a retry hint. An
 //	                     expired lease requeues the cell, so a dead
-//	                     worker costs one lease TTL, not a shard.
+//	                     worker costs one lease TTL, not its share.
 //	GET  /report         the assembled matrix report (200) once every
 //	                     cell is complete; 202 with progress counts
 //	                     while the fleet is still draining. The server
 //	                     assembles the report as results stream in —
 //	                     there is no separate merge step — and its
 //	                     provenance records each worker's cell count
-//	                     and wall time the way shard provenance did.
+//	                     and wall time.
 //
 // Workers need no configuration beyond the server URL: Dial fetches the
 // manifest, Drain leases cells, executes them with scenario.RunCell,
 // and uploads the results, optionally composing a local directory cache
 // under the remote store (scenario.Tiered) so warm local results are
 // published instead of re-executed. Determinism does the rest: any
-// interleaving of any number of workers produces the same report an
-// unsharded single-process run would have, cell for cell.
+// interleaving of any number of workers produces the same report a
+// single-process run would have, cell for cell.
 package remote
 
 import (

@@ -221,7 +221,7 @@ func specByID(t *testing.T, specs []scenario.Spec, id string) scenario.Spec {
 }
 
 // An expired lease requeues its cell: a dead worker costs one TTL, not
-// a shard. The re-upload from the late first worker is idempotent.
+// its whole share. The re-upload from the late first worker is idempotent.
 func TestLeaseExpiryRequeuesCell(t *testing.T) {
 	specs := testSpecs(t, 1)
 	o := tinyOptions()

@@ -216,11 +216,11 @@ func (s *Server) progressLocked() Progress {
 }
 
 // Report assembles the run's matrix report from the store and the
-// in-memory failures, exactly as an unsharded scenario.Run would have
-// written it (IDs, seeds, hashes, measurements — wall times and
+// in-memory failures, exactly as a single-process scenario.Run would
+// have written it (IDs, seeds, hashes, measurements — wall times and
 // provenance are the run's own). Provenance carries one Count-0 entry
-// per worker, labeled with the worker's name, in place of shard
-// entries. Returns nil until the run is complete.
+// per worker, labeled with the worker's name. Returns nil until the run
+// is complete.
 func (s *Server) Report() *scenario.Report {
 	s.mu.Lock()
 	defer s.mu.Unlock()
