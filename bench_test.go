@@ -516,8 +516,9 @@ func BenchmarkMpicoreAlltoall(b *testing.B) {
 }
 
 // BenchmarkNativeVsShimCallPath contrasts one two-rank round trip through
-// the native binding and through the full Mukautuva+MANA stack — the
-// wall-clock cost of interposition itself.
+// the native binding and through every abi.Translator configuration —
+// Mukautuva, Wi4MPI, and MANA over each — the cost of interposition
+// itself. The gate pins each configuration's virtual per-call cost.
 func BenchmarkNativeVsShimCallPath(b *testing.B) {
 	for _, sc := range []struct {
 		name  string
@@ -527,6 +528,7 @@ func BenchmarkNativeVsShimCallPath(b *testing.B) {
 		{"muk", benchStack(ImplMPICH, ABIMukautuva, CkptNone)},
 		{"wi4mpi", benchStack(ImplMPICH, ABIWi4MPI, CkptNone)},
 		{"muk_mana", benchStack(ImplMPICH, ABIMukautuva, CkptMANA)},
+		{"wi4mpi_mana", benchStack(ImplMPICH, ABIWi4MPI, CkptMANA)},
 	} {
 		sc.stack.Net = simnet.SingleNode(2)
 		b.Run(sc.name, func(b *testing.B) {

@@ -10,7 +10,7 @@
 //
 // In the README's layer diagram this package is the surface the
 // applications row compiles against and the top edge of the
-// bindings-and-shims row: the standardized ABI of Section 4.1.
+// bindings-and-translator row: the standardized ABI of Section 4.1.
 package abi
 
 import "fmt"

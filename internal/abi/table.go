@@ -127,14 +127,38 @@ func StdLookupInt(s IntSym) int {
 	return Undefined
 }
 
-// FuncTable is the MPI function table — the ABI's callable surface. Every
-// layer of the paper's stack implements it:
+// ObjectSyms lists every predefined object constant: the fixed handles,
+// then each primitive datatype, then each predefined operator. It is the
+// set a translation layer maps eagerly at load time.
+func ObjectSyms() []Sym {
+	syms := []Sym{
+		SymCommWorld, SymCommSelf, SymCommNull,
+		SymGroupNull, SymGroupEmpty, SymTypeNull,
+		SymOpNull, SymRequestNull,
+	}
+	for _, k := range types.Kinds() {
+		syms = append(syms, SymForKind(k))
+	}
+	for _, op := range ops.Ops() {
+		syms = append(syms, SymForOp(op))
+	}
+	return syms
+}
+
+// FuncTable is the MPI function table: the ABI's callable surface. It has
+// three bindings and one translator:
 //
-//	native bindings  (internal/mpich.Bind, internal/openmpi.Bind)
-//	the ABI shim     (internal/mukautuva.Shim)
-//	the checkpointer (internal/mana.Wrapper)
+//	native bindings  internal/mpich.Bind, internal/openmpi.Bind and
+//	                 internal/stdabi.Bind, each in its implementation's
+//	                 own vocabulary
+//	the translator   Translator, one interposer parameterised by the
+//	                 Dialect it speaks upward, the table below it and a
+//	                 per-call cost; internal/mukautuva (standard ABI),
+//	                 internal/wi4mpi (MPICH's ABI) and internal/mana (the
+//	                 standard ABI plus checkpoint bookkeeping) are its
+//	                 three configurations
 //
-// so layers stack by simple interface wrapping, the Go analog of function
+// Layers stack by simple interface wrapping, the Go analog of function
 // interposition via LD_PRELOAD.
 //
 // Buffers are byte slices interpreted through datatype handles, counts are
@@ -149,6 +173,10 @@ type FuncTable interface {
 	// resolves integer constants (wildcards, PROC_NULL, ...).
 	Lookup(Sym) Handle
 	LookupInt(IntSym) int
+
+	// ErrClass maps one of the table's status error codes to its standard
+	// class, like MPI_Error_class: local and uncharged.
+	ErrClass(code int) ErrClass
 
 	// Point-to-point.
 	Send(buf []byte, count int, dtype Handle, dest, tag int, comm Handle) error

@@ -325,23 +325,6 @@ func buildTable(stack Stack, w *fabric.World, rank int) (abi.FuncTable, dmtcp.Pl
 	}
 	mcfg := stack.Mana
 	mcfg.Kernel = stack.Kernel
-	switch stack.ABI {
-	case ABINative:
-		// Over a native binding, in-status error codes are in the
-		// implementation's own space; give MANA the class table.
-		switch stack.Impl {
-		case ImplMPICH:
-			mcfg.ErrClass = mpich.ClassOfCode
-		case ImplOpenMPI:
-			mcfg.ErrClass = openmpi.ClassOfCode
-		case ImplStdABI:
-			mcfg.ErrClass = stdabi.ClassOfCode
-		}
-	case ABIWi4MPI:
-		// Wi4MPI presents MPICH's code space upward regardless of the
-		// implementation underneath.
-		mcfg.ErrClass = mpich.ClassOfCode
-	}
 	wrapper := mana.NewWrapper(table, w, rank, mcfg)
 	return wrapper, wrapper, wrapper, nil
 }

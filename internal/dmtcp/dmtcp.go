@@ -15,8 +15,8 @@
 // with signals and which Go cannot do to a goroutine — is replaced by the
 // step-boundary consensus; see DESIGN.md for the substitution note.
 //
-// In the README's layer diagram DMTCP is the checkpointer-interposition
-// entry of the bindings-and-shims row (Section 3 of the paper);
+// In the README's layer diagram DMTCP is the control plane behind the
+// mana entry of the bindings-and-translator row (Section 3 of the paper);
 // internal/mana registers as its MPI plugin, exactly as MANA is a DMTCP
 // plugin in the paper.
 package dmtcp

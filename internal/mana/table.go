@@ -4,17 +4,6 @@ import (
 	"repro/internal/abi"
 )
 
-// ImplName reports the full stack identity.
-func (w *Wrapper) ImplName() string { return "mana+" + w.inner.ImplName() }
-
-// Lookup resolves constants to standard values: the application above MANA
-// sees only the standard ABI, so handles in its state (and in checkpoint
-// images) stay meaningful across restarts.
-func (w *Wrapper) Lookup(sym abi.Sym) abi.Handle { return abi.StdLookup(sym) }
-
-// LookupInt resolves integer constants to standard values.
-func (w *Wrapper) LookupInt(sym abi.IntSym) int { return abi.StdLookupInt(sym) }
-
 // matchBuffered finds the oldest drained message matching (source, tag)
 // with standard wildcards; remove=false implements probing.
 func (w *Wrapper) matchBuffered(comm abi.Handle, source, tag int, remove bool) (Drained, bool) {
@@ -40,69 +29,69 @@ func (w *Wrapper) matchBuffered(comm abi.Handle, source, tag int, remove bool) (
 // them with the application's datatype. The status is then rewritten with
 // the original envelope facts.
 func (w *Wrapper) deliverBuffered(d Drained, buf []byte, count int, dtype, comm abi.Handle, st *abi.Status) error {
-	ic := w.in(comm)
+	ic := w.In(comm)
 	info := w.comms[comm]
 	if info == nil {
 		return abi.Errorf(abi.ErrComm, "mana", "buffered delivery on unknown communicator %v", comm)
 	}
-	if err := w.inner.Send(d.Data, len(d.Data), w.iByteType, info.myRank, int(d.Tag), ic); err != nil {
-		return w.err(err)
+	if err := w.inner.Send(d.Data, len(d.Data), w.In(abi.TypeByte), info.myRank, int(d.Tag), ic); err != nil {
+		return w.Err(err)
 	}
 	var tmp abi.Status
-	err := w.inner.Recv(buf, count, w.in(dtype), info.myRank, int(d.Tag), ic, &tmp)
-	w.statusBack(&tmp)
+	err := w.inner.Recv(buf, count, w.In(dtype), info.myRank, int(d.Tag), ic, &tmp)
+	w.StatusBack(&tmp)
 	tmp.Source = int32(d.Source)
 	tmp.Tag = d.Tag
 	if st != nil {
 		*st = tmp
 	}
-	return w.err(err)
+	return w.Err(err)
 }
 
 func (w *Wrapper) Send(buf []byte, count int, dtype abi.Handle, dest, tag int, comm abi.Handle) error {
-	w.charge()
-	err := w.inner.Send(buf, count, w.in(dtype), w.peerIn(dest), tag, w.in(comm))
+	w.Charge()
+	err := w.inner.Send(buf, count, w.In(dtype), w.PeerIn(dest), tag, w.In(comm))
 	if err == nil && dest != abi.ProcNull {
 		bump(w.sent, comm, dest)
 	}
-	return w.err(err)
+	return w.Err(err)
 }
 
 func (w *Wrapper) Recv(buf []byte, count int, dtype abi.Handle, source, tag int, comm abi.Handle, st *abi.Status) error {
-	w.charge()
+	w.Charge()
 	if d, ok := w.matchBuffered(comm, source, tag, true); ok {
 		return w.deliverBuffered(d, buf, count, dtype, comm, st)
 	}
 	var tmp abi.Status
-	err := w.inner.Recv(buf, count, w.in(dtype), w.peerIn(source), w.tagIn(tag), w.in(comm), &tmp)
-	w.statusBack(&tmp)
+	err := w.inner.Recv(buf, count, w.In(dtype), w.PeerIn(source), w.TagIn(tag), w.In(comm), &tmp)
+	w.StatusBack(&tmp)
 	if err == nil && tmp.Source >= 0 {
 		bump(w.recvd, comm, int(tmp.Source))
 	}
 	if st != nil {
 		*st = tmp
 	}
-	return w.err(err)
+	return w.Err(err)
 }
 
 func (w *Wrapper) Isend(buf []byte, count int, dtype abi.Handle, dest, tag int, comm abi.Handle) (abi.Handle, error) {
-	w.charge()
-	r, err := w.inner.Isend(buf, count, w.in(dtype), w.peerIn(dest), tag, w.in(comm))
+	w.Charge()
+	r, err := w.inner.Isend(buf, count, w.In(dtype), w.PeerIn(dest), tag, w.In(comm))
 	if err != nil {
-		return abi.RequestNull, w.err(err)
+		return abi.RequestNull, w.Err(err)
 	}
 	if dest != abi.ProcNull {
 		bump(w.sent, comm, dest)
 	}
 	w.nextReq++
 	rv := abi.MakeHandle(abi.ClassRequest, w.nextReq)
-	w.fwd[rv] = r
+	w.Map(rv, r)
 	w.reqs[rv] = &reqInfo{isRecv: false, comm: comm}
 	return rv, nil
 }
 
 func (w *Wrapper) Irecv(buf []byte, count int, dtype abi.Handle, source, tag int, comm abi.Handle) (abi.Handle, error) {
-	w.charge()
+	w.Charge()
 	w.nextReq++
 	rv := abi.MakeHandle(abi.ClassRequest, w.nextReq)
 	if d, ok := w.matchBuffered(comm, source, tag, true); ok {
@@ -111,17 +100,17 @@ func (w *Wrapper) Irecv(buf []byte, count int, dtype abi.Handle, source, tag int
 		w.reqs[rv] = &reqInfo{isRecv: true, comm: comm, pseudo: true, status: st, code: err}
 		return rv, nil
 	}
-	r, err := w.inner.Irecv(buf, count, w.in(dtype), w.peerIn(source), w.tagIn(tag), w.in(comm))
+	r, err := w.inner.Irecv(buf, count, w.In(dtype), w.PeerIn(source), w.TagIn(tag), w.In(comm))
 	if err != nil {
-		return abi.RequestNull, w.err(err)
+		return abi.RequestNull, w.Err(err)
 	}
-	w.fwd[rv] = r
+	w.Map(rv, r)
 	w.reqs[rv] = &reqInfo{isRecv: true, comm: comm}
 	return rv, nil
 }
 
 func (w *Wrapper) Wait(req abi.Handle, st *abi.Status) error {
-	w.charge()
+	w.Charge()
 	info, ok := w.reqs[req]
 	if !ok {
 		return abi.Errorf(abi.ErrRequest, "mana", "unknown request %v", req)
@@ -134,21 +123,21 @@ func (w *Wrapper) Wait(req abi.Handle, st *abi.Status) error {
 		return info.code
 	}
 	var tmp abi.Status
-	err := w.inner.Wait(w.in(req), &tmp)
-	w.statusBack(&tmp)
+	err := w.inner.Wait(w.In(req), &tmp)
+	w.StatusBack(&tmp)
 	if err == nil && info.isRecv && tmp.Source >= 0 {
 		bump(w.recvd, info.comm, int(tmp.Source))
 	}
 	delete(w.reqs, req)
-	delete(w.fwd, req)
+	w.Unmap(req)
 	if st != nil {
 		*st = tmp
 	}
-	return w.err(err)
+	return w.Err(err)
 }
 
 func (w *Wrapper) Test(req abi.Handle, st *abi.Status) (bool, error) {
-	w.charge()
+	w.Charge()
 	info, ok := w.reqs[req]
 	if !ok {
 		return false, abi.Errorf(abi.ErrRequest, "mana", "unknown request %v", req)
@@ -161,20 +150,20 @@ func (w *Wrapper) Test(req abi.Handle, st *abi.Status) (bool, error) {
 		return true, info.code
 	}
 	var tmp abi.Status
-	done, err := w.inner.Test(w.in(req), &tmp)
+	done, err := w.inner.Test(w.In(req), &tmp)
 	if !done {
-		return false, w.err(err)
+		return false, w.Err(err)
 	}
-	w.statusBack(&tmp)
+	w.StatusBack(&tmp)
 	if err == nil && info.isRecv && tmp.Source >= 0 {
 		bump(w.recvd, info.comm, int(tmp.Source))
 	}
 	delete(w.reqs, req)
-	delete(w.fwd, req)
+	w.Unmap(req)
 	if st != nil {
 		*st = tmp
 	}
-	return true, w.err(err)
+	return true, w.Err(err)
 }
 
 func (w *Wrapper) Waitall(reqs []abi.Handle, sts []abi.Status) error {
@@ -208,7 +197,7 @@ func (w *Wrapper) Sendrecv(sendbuf []byte, scount int, stype abi.Handle, dest, s
 }
 
 func (w *Wrapper) Probe(source, tag int, comm abi.Handle, st *abi.Status) error {
-	w.charge()
+	w.Charge()
 	if d, ok := w.matchBuffered(comm, source, tag, false); ok {
 		if st != nil {
 			st.Source = int32(d.Source)
@@ -218,13 +207,13 @@ func (w *Wrapper) Probe(source, tag int, comm abi.Handle, st *abi.Status) error 
 		}
 		return nil
 	}
-	err := w.inner.Probe(w.peerIn(source), w.tagIn(tag), w.in(comm), st)
-	w.statusBack(st)
-	return w.err(err)
+	err := w.inner.Probe(w.PeerIn(source), w.TagIn(tag), w.In(comm), st)
+	w.StatusBack(st)
+	return w.Err(err)
 }
 
 func (w *Wrapper) Iprobe(source, tag int, comm abi.Handle, st *abi.Status) (bool, error) {
-	w.charge()
+	w.Charge()
 	if d, ok := w.matchBuffered(comm, source, tag, false); ok {
 		if st != nil {
 			st.Source = int32(d.Source)
@@ -234,67 +223,11 @@ func (w *Wrapper) Iprobe(source, tag int, comm abi.Handle, st *abi.Status) (bool
 		}
 		return true, nil
 	}
-	found, err := w.inner.Iprobe(w.peerIn(source), w.tagIn(tag), w.in(comm), st)
+	found, err := w.inner.Iprobe(w.PeerIn(source), w.TagIn(tag), w.In(comm), st)
 	if found {
-		w.statusBack(st)
+		w.StatusBack(st)
 	}
-	return found, w.err(err)
-}
-
-func (w *Wrapper) Barrier(comm abi.Handle) error {
-	w.charge()
-	return w.err(w.inner.Barrier(w.in(comm)))
-}
-
-func (w *Wrapper) Bcast(buf []byte, count int, dtype abi.Handle, root int, comm abi.Handle) error {
-	w.charge()
-	return w.err(w.inner.Bcast(buf, count, w.in(dtype), root, w.in(comm)))
-}
-
-func (w *Wrapper) Reduce(sendbuf, recvbuf []byte, count int, dtype, op abi.Handle, root int, comm abi.Handle) error {
-	w.charge()
-	return w.err(w.inner.Reduce(sendbuf, recvbuf, count, w.in(dtype), w.in(op), root, w.in(comm)))
-}
-
-func (w *Wrapper) Allreduce(sendbuf, recvbuf []byte, count int, dtype, op abi.Handle, comm abi.Handle) error {
-	w.charge()
-	return w.err(w.inner.Allreduce(sendbuf, recvbuf, count, w.in(dtype), w.in(op), w.in(comm)))
-}
-
-func (w *Wrapper) Gather(sendbuf []byte, scount int, stype abi.Handle,
-	recvbuf []byte, rcount int, rtype abi.Handle, root int, comm abi.Handle) error {
-	w.charge()
-	return w.err(w.inner.Gather(sendbuf, scount, w.in(stype), recvbuf, rcount, w.in(rtype), root, w.in(comm)))
-}
-
-func (w *Wrapper) Allgather(sendbuf []byte, scount int, stype abi.Handle,
-	recvbuf []byte, rcount int, rtype abi.Handle, comm abi.Handle) error {
-	w.charge()
-	return w.err(w.inner.Allgather(sendbuf, scount, w.in(stype), recvbuf, rcount, w.in(rtype), w.in(comm)))
-}
-
-func (w *Wrapper) Scatter(sendbuf []byte, scount int, stype abi.Handle,
-	recvbuf []byte, rcount int, rtype abi.Handle, root int, comm abi.Handle) error {
-	w.charge()
-	return w.err(w.inner.Scatter(sendbuf, scount, w.in(stype), recvbuf, rcount, w.in(rtype), root, w.in(comm)))
-}
-
-func (w *Wrapper) Alltoall(sendbuf []byte, scount int, stype abi.Handle,
-	recvbuf []byte, rcount int, rtype abi.Handle, comm abi.Handle) error {
-	w.charge()
-	return w.err(w.inner.Alltoall(sendbuf, scount, w.in(stype), recvbuf, rcount, w.in(rtype), w.in(comm)))
-}
-
-func (w *Wrapper) CommSize(comm abi.Handle) (int, error) {
-	w.charge()
-	n, err := w.inner.CommSize(w.in(comm))
-	return n, w.err(err)
-}
-
-func (w *Wrapper) CommRank(comm abi.Handle) (int, error) {
-	w.charge()
-	r, err := w.inner.CommRank(w.in(comm))
-	return r, w.err(err)
+	return found, w.Err(err)
 }
 
 // newCommVid allocates a vid + commInfo for a freshly created inner
@@ -312,7 +245,7 @@ func (w *Wrapper) newCommVid(op EvOp, parent, aux abi.Handle, native abi.Handle,
 	}
 	gid := commGID(parentInfo.gid, op, ord, color)
 	ev := Event{Op: op, Parent: parent, Aux: aux, Ints: ints, GID: gid, Vid: abi.CommNull}
-	if native == w.iCommNull {
+	if native == w.In(abi.CommNull) {
 		// Collective participation without membership (UNDEFINED color).
 		w.record(ev)
 		return abi.CommNull, nil
@@ -322,48 +255,48 @@ func (w *Wrapper) newCommVid(op EvOp, parent, aux abi.Handle, native abi.Handle,
 	w.record(ev)
 	myRank, err := w.inner.CommRank(native)
 	if err != nil {
-		return abi.CommNull, w.err(err)
+		return abi.CommNull, w.Err(err)
 	}
 	size, err := w.inner.CommSize(native)
 	if err != nil {
-		return abi.CommNull, w.err(err)
+		return abi.CommNull, w.Err(err)
 	}
 	w.comms[v] = &commInfo{gid: gid, myRank: myRank, size: size}
 	return v, nil
 }
 
 func (w *Wrapper) CommDup(comm abi.Handle) (abi.Handle, error) {
-	w.charge()
-	n, err := w.inner.CommDup(w.in(comm))
+	w.Charge()
+	n, err := w.inner.CommDup(w.In(comm))
 	if err != nil {
-		return abi.CommNull, w.err(err)
+		return abi.CommNull, w.Err(err)
 	}
 	return w.newCommVid(EvCommDup, comm, abi.HandleNull, n, nil)
 }
 
 func (w *Wrapper) CommSplit(comm abi.Handle, color, key int) (abi.Handle, error) {
-	w.charge()
-	n, err := w.inner.CommSplit(w.in(comm), w.splitColorIn(color), key)
+	w.Charge()
+	n, err := w.inner.CommSplit(w.In(comm), w.ColorIn(color), key)
 	if err != nil {
-		return abi.CommNull, w.err(err)
+		return abi.CommNull, w.Err(err)
 	}
 	return w.newCommVid(EvCommSplit, comm, abi.HandleNull, n, []int{color, key})
 }
 
 func (w *Wrapper) CommCreate(comm, group abi.Handle) (abi.Handle, error) {
-	w.charge()
-	n, err := w.inner.CommCreate(w.in(comm), w.in(group))
+	w.Charge()
+	n, err := w.inner.CommCreate(w.In(comm), w.In(group))
 	if err != nil {
-		return abi.CommNull, w.err(err)
+		return abi.CommNull, w.Err(err)
 	}
 	return w.newCommVid(EvCommCreate, comm, group, n, nil)
 }
 
 func (w *Wrapper) CommGroup(comm abi.Handle) (abi.Handle, error) {
-	w.charge()
-	n, err := w.inner.CommGroup(w.in(comm))
+	w.Charge()
+	n, err := w.inner.CommGroup(w.In(comm))
 	if err != nil {
-		return abi.GroupNull, w.err(err)
+		return abi.GroupNull, w.Err(err)
 	}
 	v := w.vid(abi.ClassGroup, n)
 	w.record(Event{Op: EvCommGroup, Vid: v, Parent: comm})
@@ -371,13 +304,13 @@ func (w *Wrapper) CommGroup(comm abi.Handle) (abi.Handle, error) {
 }
 
 func (w *Wrapper) CommFree(comm abi.Handle) error {
-	w.charge()
-	err := w.inner.CommFree(w.in(comm))
+	w.Charge()
+	err := w.inner.CommFree(w.In(comm))
 	if err != nil {
-		return w.err(err)
+		return w.Err(err)
 	}
 	w.record(Event{Op: EvCommFree, Vid: comm})
-	delete(w.fwd, comm)
+	w.Unmap(comm)
 	delete(w.comms, comm)
 	delete(w.sent, comm)
 	delete(w.recvd, comm)
@@ -385,26 +318,11 @@ func (w *Wrapper) CommFree(comm abi.Handle) error {
 	return nil
 }
 
-func (w *Wrapper) GroupSize(group abi.Handle) (int, error) {
-	w.charge()
-	n, err := w.inner.GroupSize(w.in(group))
-	return n, w.err(err)
-}
-
-func (w *Wrapper) GroupRank(group abi.Handle) (int, error) {
-	w.charge()
-	r, err := w.inner.GroupRank(w.in(group))
-	if r == w.iUndefined {
-		r = abi.Undefined
-	}
-	return r, w.err(err)
-}
-
 func (w *Wrapper) GroupIncl(group abi.Handle, ranks []int) (abi.Handle, error) {
-	w.charge()
-	n, err := w.inner.GroupIncl(w.in(group), ranks)
+	w.Charge()
+	n, err := w.inner.GroupIncl(w.In(group), ranks)
 	if err != nil {
-		return abi.GroupNull, w.err(err)
+		return abi.GroupNull, w.Err(err)
 	}
 	v := w.vid(abi.ClassGroup, n)
 	w.record(Event{Op: EvGroupIncl, Vid: v, Parent: group, Ints: append([]int(nil), ranks...)})
@@ -412,43 +330,32 @@ func (w *Wrapper) GroupIncl(group abi.Handle, ranks []int) (abi.Handle, error) {
 }
 
 func (w *Wrapper) GroupExcl(group abi.Handle, ranks []int) (abi.Handle, error) {
-	w.charge()
-	n, err := w.inner.GroupExcl(w.in(group), ranks)
+	w.Charge()
+	n, err := w.inner.GroupExcl(w.In(group), ranks)
 	if err != nil {
-		return abi.GroupNull, w.err(err)
+		return abi.GroupNull, w.Err(err)
 	}
 	v := w.vid(abi.ClassGroup, n)
 	w.record(Event{Op: EvGroupExcl, Vid: v, Parent: group, Ints: append([]int(nil), ranks...)})
 	return v, nil
 }
 
-func (w *Wrapper) GroupTranslateRanks(g1 abi.Handle, ranks []int, g2 abi.Handle) ([]int, error) {
-	w.charge()
-	out, err := w.inner.GroupTranslateRanks(w.in(g1), ranks, w.in(g2))
-	for i := range out {
-		if out[i] == w.iUndefined {
-			out[i] = abi.Undefined
-		}
-	}
-	return out, w.err(err)
-}
-
 func (w *Wrapper) GroupFree(group abi.Handle) error {
-	w.charge()
-	err := w.inner.GroupFree(w.in(group))
+	w.Charge()
+	err := w.inner.GroupFree(w.In(group))
 	if err != nil {
-		return w.err(err)
+		return w.Err(err)
 	}
 	w.record(Event{Op: EvGroupFree, Vid: group})
-	delete(w.fwd, group)
+	w.Unmap(group)
 	return nil
 }
 
 func (w *Wrapper) TypeContiguous(count int, inner abi.Handle) (abi.Handle, error) {
-	w.charge()
-	n, err := w.inner.TypeContiguous(count, w.in(inner))
+	w.Charge()
+	n, err := w.inner.TypeContiguous(count, w.In(inner))
 	if err != nil {
-		return abi.TypeNull, w.err(err)
+		return abi.TypeNull, w.Err(err)
 	}
 	v := w.vid(abi.ClassType, n)
 	w.record(Event{Op: EvTypeContig, Vid: v, Parent: inner, Ints: []int{count}})
@@ -456,10 +363,10 @@ func (w *Wrapper) TypeContiguous(count int, inner abi.Handle) (abi.Handle, error
 }
 
 func (w *Wrapper) TypeVector(count, blocklen, stride int, inner abi.Handle) (abi.Handle, error) {
-	w.charge()
-	n, err := w.inner.TypeVector(count, blocklen, stride, w.in(inner))
+	w.Charge()
+	n, err := w.inner.TypeVector(count, blocklen, stride, w.In(inner))
 	if err != nil {
-		return abi.TypeNull, w.err(err)
+		return abi.TypeNull, w.Err(err)
 	}
 	v := w.vid(abi.ClassType, n)
 	w.record(Event{Op: EvTypeVector, Vid: v, Parent: inner, Ints: []int{count, blocklen, stride}})
@@ -467,10 +374,10 @@ func (w *Wrapper) TypeVector(count, blocklen, stride int, inner abi.Handle) (abi
 }
 
 func (w *Wrapper) TypeIndexed(blocklens, displs []int, inner abi.Handle) (abi.Handle, error) {
-	w.charge()
-	n, err := w.inner.TypeIndexed(blocklens, displs, w.in(inner))
+	w.Charge()
+	n, err := w.inner.TypeIndexed(blocklens, displs, w.In(inner))
 	if err != nil {
-		return abi.TypeNull, w.err(err)
+		return abi.TypeNull, w.Err(err)
 	}
 	v := w.vid(abi.ClassType, n)
 	ints := append(append([]int(nil), blocklens...), displs...)
@@ -479,14 +386,14 @@ func (w *Wrapper) TypeIndexed(blocklens, displs []int, inner abi.Handle) (abi.Ha
 }
 
 func (w *Wrapper) TypeCreateStruct(blocklens, displs []int, typs []abi.Handle) (abi.Handle, error) {
-	w.charge()
+	w.Charge()
 	innerTyps := make([]abi.Handle, len(typs))
 	for i, t := range typs {
-		innerTyps[i] = w.in(t)
+		innerTyps[i] = w.In(t)
 	}
 	n, err := w.inner.TypeCreateStruct(blocklens, displs, innerTyps)
 	if err != nil {
-		return abi.TypeNull, w.err(err)
+		return abi.TypeNull, w.Err(err)
 	}
 	v := w.vid(abi.ClassType, n)
 	ints := append(append([]int(nil), blocklens...), displs...)
@@ -495,50 +402,29 @@ func (w *Wrapper) TypeCreateStruct(blocklens, displs []int, typs []abi.Handle) (
 }
 
 func (w *Wrapper) TypeCommit(dtype abi.Handle) error {
-	w.charge()
-	if err := w.inner.TypeCommit(w.in(dtype)); err != nil {
-		return w.err(err)
+	w.Charge()
+	if err := w.inner.TypeCommit(w.In(dtype)); err != nil {
+		return w.Err(err)
 	}
 	w.record(Event{Op: EvTypeCommit, Vid: dtype})
 	return nil
 }
 
 func (w *Wrapper) TypeFree(dtype abi.Handle) error {
-	w.charge()
-	if err := w.inner.TypeFree(w.in(dtype)); err != nil {
-		return w.err(err)
+	w.Charge()
+	if err := w.inner.TypeFree(w.In(dtype)); err != nil {
+		return w.Err(err)
 	}
 	w.record(Event{Op: EvTypeFree, Vid: dtype})
-	delete(w.fwd, dtype)
+	w.Unmap(dtype)
 	return nil
 }
 
-func (w *Wrapper) TypeSize(dtype abi.Handle) (int, error) {
-	w.charge()
-	n, err := w.inner.TypeSize(w.in(dtype))
-	return n, w.err(err)
-}
-
-func (w *Wrapper) TypeExtent(dtype abi.Handle) (int, error) {
-	w.charge()
-	n, err := w.inner.TypeExtent(w.in(dtype))
-	return n, w.err(err)
-}
-
-func (w *Wrapper) GetCount(st *abi.Status, dtype abi.Handle) (int, error) {
-	w.charge()
-	n, err := w.inner.GetCount(st, w.in(dtype))
-	if n == w.iUndefined {
-		n = abi.Undefined
-	}
-	return n, w.err(err)
-}
-
 func (w *Wrapper) OpCreate(name string, commute bool) (abi.Handle, error) {
-	w.charge()
+	w.Charge()
 	n, err := w.inner.OpCreate(name, commute)
 	if err != nil {
-		return abi.OpNull, w.err(err)
+		return abi.OpNull, w.Err(err)
 	}
 	v := w.vid(abi.ClassOp, n)
 	w.record(Event{Op: EvOpCreate, Vid: v, Name: name, Flag: commute})
@@ -546,47 +432,27 @@ func (w *Wrapper) OpCreate(name string, commute bool) (abi.Handle, error) {
 }
 
 func (w *Wrapper) OpFree(op abi.Handle) error {
-	w.charge()
-	if err := w.inner.OpFree(w.in(op)); err != nil {
-		return w.err(err)
+	w.Charge()
+	if err := w.inner.OpFree(w.In(op)); err != nil {
+		return w.Err(err)
 	}
 	w.record(Event{Op: EvOpFree, Vid: op})
-	delete(w.fwd, op)
+	w.Unmap(op)
 	return nil
-}
-
-func (w *Wrapper) Abort(comm abi.Handle, code int) error {
-	return w.err(w.inner.Abort(w.in(comm), code))
 }
 
 // The ULFM (MPIX_*) surface. Revocation, agreement and failure
 // acknowledgement are stateless from the checkpointer's point of view
-// and pass straight through. The handle-creating calls — CommShrink and
+// and are the embedded translator's. The handle-creating calls — CommShrink and
 // CommFailureGetAcked — are refused: a shrunken communicator's recipe is
 // a function of which ranks died, which no restart replay can
 // reproduce, so ULFM in-place recovery and MANA checkpoint/restart are
 // alternative fault-tolerance paths, not composable ones (core enforces
 // the same split: shrink-mode recovery runs checkpointer-free stacks).
 
-func (w *Wrapper) CommRevoke(comm abi.Handle) error {
-	w.charge()
-	return w.err(w.inner.CommRevoke(w.in(comm)))
-}
-
 func (w *Wrapper) CommShrink(comm abi.Handle) (abi.Handle, error) {
 	return abi.CommNull, abi.Errorf(abi.ErrUnsupported, "mana",
 		"MPIX_Comm_shrink under a checkpointing wrapper: a shrunken communicator has no replayable recipe; use the checkpoint-free ULFM stack")
-}
-
-func (w *Wrapper) CommAgree(comm abi.Handle, flag uint64) (uint64, error) {
-	w.charge()
-	out, err := w.inner.CommAgree(w.in(comm), flag)
-	return out, w.err(err)
-}
-
-func (w *Wrapper) CommFailureAck(comm abi.Handle) error {
-	w.charge()
-	return w.err(w.inner.CommFailureAck(w.in(comm)))
 }
 
 func (w *Wrapper) CommFailureGetAcked(comm abi.Handle) (abi.Handle, error) {

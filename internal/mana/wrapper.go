@@ -20,9 +20,9 @@
 // "virtual id" configuration — in which case restart is only legal under
 // the same implementation.
 //
-// In the README's layer diagram MANA is the checkpointer-interposition
-// entry of the bindings-and-shims row (Sections 3 and 5.3): it wraps
-// whatever function table it is given, native or shimmed.
+// In the README's layer diagram MANA is the third configuration of
+// abi.Translator (Sections 3 and 5.3): it wraps whatever function table
+// it is given, native or translated.
 package mana
 
 import (
@@ -30,9 +30,6 @@ import (
 
 	"repro/internal/abi"
 	"repro/internal/fabric"
-	"repro/internal/ops"
-	"repro/internal/simnet"
-	"repro/internal/types"
 )
 
 // Config tunes the wrapper.
@@ -43,10 +40,6 @@ type Config struct {
 	// VidCost is the bookkeeping cost of one wrapper call (virtual id
 	// lookup and counter updates).
 	VidCost time.Duration
-	// ErrClass maps in-status error codes from the inner table's space to
-	// standard classes. Leave nil when the inner table is the Mukautuva
-	// shim (already standard).
-	ErrClass func(code int) abi.ErrClass
 }
 
 // DefaultConfig matches the paper's testbed: old kernel, syscall-priced
@@ -90,15 +83,18 @@ type reqInfo struct {
 	code   error
 }
 
-// Wrapper is libmana.so: an abi.FuncTable interposed above the lower half.
+// Wrapper is libmana.so: a standard-dialect abi.Translator interposed
+// above the lower half, charging VidCost plus the kernel's split-process
+// call cost per call. It defines only the calls it must intercept:
+// point-to-point and requests (drain buffering and counters), the calls
+// that create or free handles (virtual ids and the replay log), and the
+// two ULFM calls it refuses. Every other call is the translator's.
 type Wrapper struct {
+	*abi.Translator
 	inner abi.FuncTable
-	cfg   Config
-	clock *simnet.Clock
 	oob   *fabric.OOB
 	rank  int // world rank
 
-	fwd     map[abi.Handle]abi.Handle // vid/predefined -> inner handle
 	nextVid uint64
 	log     []Event
 
@@ -110,12 +106,6 @@ type Wrapper struct {
 	sent     map[abi.Handle]map[int]uint64 // comm vid -> dest comm rank -> msgs
 	recvd    map[abi.Handle]map[int]uint64 // comm vid -> src comm rank -> msgs
 	buffered map[abi.Handle][]Drained
-
-	// Inner constants captured at bind time.
-	iAnySource, iAnyTag, iProcNull, iRoot, iUndefined int
-	iCommNull, iGroupNull, iTypeNull, iOpNull         abi.Handle
-	iReqNull                                          abi.Handle
-	iByteType                                         abi.Handle
 }
 
 var _ abi.FuncTable = (*Wrapper)(nil)
@@ -123,16 +113,12 @@ var _ abi.FuncTable = (*Wrapper)(nil)
 // NewWrapper interposes MANA above an inner function table for one rank.
 // The world provides the out-of-band plane used by the drain protocol.
 func NewWrapper(inner abi.FuncTable, w *fabric.World, rank int, cfg Config) *Wrapper {
-	if cfg.ErrClass == nil {
-		cfg.ErrClass = func(code int) abi.ErrClass { return abi.ErrClass(code) }
-	}
 	mw := &Wrapper{
+		Translator: abi.NewTranslator(abi.StdDialect, inner, w.Endpoint(rank).Clock(),
+			cfg.VidCost+cfg.Kernel.CallCost(), "mana+"+inner.ImplName(), "mana"),
 		inner:    inner,
-		cfg:      cfg,
-		clock:    w.Endpoint(rank).Clock(),
 		oob:      w.OOB(),
 		rank:     rank,
-		fwd:      make(map[abi.Handle]abi.Handle),
 		nextVid:  vidBase,
 		comms:    make(map[abi.Handle]*commInfo),
 		reqs:     make(map[abi.Handle]*reqInfo),
@@ -141,32 +127,6 @@ func NewWrapper(inner abi.FuncTable, w *fabric.World, rank int, cfg Config) *Wra
 		recvd:    make(map[abi.Handle]map[int]uint64),
 		buffered: make(map[abi.Handle][]Drained),
 	}
-	syms := []abi.Sym{
-		abi.SymCommWorld, abi.SymCommSelf, abi.SymCommNull,
-		abi.SymGroupNull, abi.SymGroupEmpty, abi.SymTypeNull,
-		abi.SymOpNull, abi.SymRequestNull,
-	}
-	for _, k := range types.Kinds() {
-		syms = append(syms, abi.SymForKind(k))
-	}
-	for _, op := range ops.Ops() {
-		syms = append(syms, abi.SymForOp(op))
-	}
-	for _, sym := range syms {
-		mw.fwd[abi.StdLookup(sym)] = inner.Lookup(sym)
-	}
-	mw.iCommNull = inner.Lookup(abi.SymCommNull)
-	mw.iGroupNull = inner.Lookup(abi.SymGroupNull)
-	mw.iTypeNull = inner.Lookup(abi.SymTypeNull)
-	mw.iOpNull = inner.Lookup(abi.SymOpNull)
-	mw.iReqNull = inner.Lookup(abi.SymRequestNull)
-	mw.iByteType = inner.Lookup(abi.SymForKind(types.KindByte))
-	mw.iAnySource = inner.LookupInt(abi.IntAnySource)
-	mw.iAnyTag = inner.LookupInt(abi.IntAnyTag)
-	mw.iProcNull = inner.LookupInt(abi.IntProcNull)
-	mw.iRoot = inner.LookupInt(abi.IntRoot)
-	mw.iUndefined = inner.LookupInt(abi.IntUndefined)
-
 	// Predefined communicators are live from the start.
 	size, _ := inner.CommSize(inner.Lookup(abi.SymCommWorld))
 	mw.comms[abi.CommWorld] = &commInfo{gid: 1, myRank: rank, size: size}
@@ -177,90 +137,15 @@ func NewWrapper(inner abi.FuncTable, w *fabric.World, rank int, cfg Config) *Wra
 // selfGID keeps each rank's MPI_COMM_SELF distinct in the drain exchange.
 func selfGID(rank int) uint64 { return 0x5e1f_0000_0000_0000 | uint64(rank) }
 
-// Inner exposes the lower-half table (used by the restart driver).
-func (w *Wrapper) Inner() abi.FuncTable { return w.inner }
-
 // Outstanding reports open requests; checkpoints require zero.
 func (w *Wrapper) Outstanding() int { return len(w.reqs) }
-
-// charge bills one wrapper call: virtual-id bookkeeping plus the
-// split-process fs-register round trip.
-func (w *Wrapper) charge() {
-	w.clock.Advance(w.cfg.VidCost + w.cfg.Kernel.CallCost())
-}
-
-// in translates an application handle (predefined or vid) to the inner
-// handle.
-func (w *Wrapper) in(h abi.Handle) abi.Handle {
-	if n, ok := w.fwd[h]; ok {
-		return n
-	}
-	switch h.HandleClass() {
-	case abi.ClassComm:
-		return w.iCommNull
-	case abi.ClassGroup:
-		return w.iGroupNull
-	case abi.ClassType:
-		return w.iTypeNull
-	case abi.ClassOp:
-		return w.iOpNull
-	case abi.ClassRequest:
-		return w.iReqNull
-	}
-	return w.iTypeNull
-}
 
 // vid mints a fresh virtual id of a class and binds it to an inner handle.
 func (w *Wrapper) vid(class abi.Class, native abi.Handle) abi.Handle {
 	w.nextVid++
 	v := abi.MakeHandle(class, w.nextVid)
-	w.fwd[v] = native
+	w.Map(v, native)
 	return v
-}
-
-// peerIn and tagIn translate standard sentinels to inner values.
-func (w *Wrapper) peerIn(v int) int {
-	switch v {
-	case abi.AnySource:
-		return w.iAnySource
-	case abi.ProcNull:
-		return w.iProcNull
-	case abi.Root:
-		return w.iRoot
-	default:
-		return v
-	}
-}
-
-func (w *Wrapper) tagIn(v int) int {
-	if v == abi.AnyTag {
-		return w.iAnyTag
-	}
-	return v
-}
-
-// statusBack rewrites inner sentinels and error codes into standard form.
-func (w *Wrapper) statusBack(st *abi.Status) {
-	if st == nil {
-		return
-	}
-	if int(st.Source) == w.iProcNull {
-		st.Source = int32(abi.ProcNull)
-	}
-	if int(st.Tag) == w.iAnyTag {
-		st.Tag = int32(abi.AnyTag)
-	}
-	if st.Error != 0 {
-		st.Error = int32(w.cfg.ErrClass(int(st.Error)))
-	}
-}
-
-// err re-attributes an error, preserving its class.
-func (w *Wrapper) err(e error) error {
-	if e == nil {
-		return nil
-	}
-	return abi.Errorf(abi.ClassOf(e), "mana", "%v", e)
 }
 
 // bump increments a nested counter map.

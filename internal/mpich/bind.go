@@ -23,10 +23,10 @@ func Bind(p *Proc) *Binding { return &Binding{p: p} }
 
 var _ abi.FuncTable = (*Binding)(nil)
 
-// toAbi widens a native handle into the opaque 64-bit slot. The value does
+// Widen embeds a native handle in the opaque 64-bit slot. The value does
 // NOT follow the standard ABI encoding — it is MPICH's own bit pattern,
 // exactly as a natively compiled binary would hold.
-func toAbi(h Handle) abi.Handle { return abi.Handle(uint64(uint32(int32(h)))) }
+func Widen(h Handle) abi.Handle { return abi.Handle(uint64(uint32(int32(h)))) }
 
 // toNative narrows an opaque handle back to MPICH's representation.
 func toNative(h abi.Handle) Handle { return Handle(int32(uint32(h))) }
@@ -129,6 +129,81 @@ func CodeOfClass(c abi.ErrClass) int {
 	}
 }
 
+// MPICH's vocabulary as seen through the opaque 64-bit slot: what the
+// native binding hands an application, and what a translator presenting
+// MPICH's ABI upward (internal/wi4mpi) speaks.
+
+// Lookup resolves a predefined object constant to MPICH's handle value.
+func Lookup(s abi.Sym) abi.Handle {
+	switch s {
+	case abi.SymCommWorld:
+		return Widen(CommWorld)
+	case abi.SymCommSelf:
+		return Widen(CommSelf)
+	case abi.SymCommNull:
+		return Widen(CommNull)
+	case abi.SymGroupNull:
+		return Widen(GroupNull)
+	case abi.SymGroupEmpty:
+		return Widen(GroupEmpty)
+	case abi.SymTypeNull:
+		return Widen(DatatypeNull)
+	case abi.SymOpNull:
+		return Widen(OpNull)
+	case abi.SymRequestNull:
+		return Widen(RequestNull)
+	}
+	if k, ok := abi.KindForSym(s); ok {
+		return Widen(TypeHandle(k))
+	}
+	if op, ok := abi.OpForSym(s); ok {
+		return Widen(OpHandle(op))
+	}
+	return Widen(DatatypeNull)
+}
+
+// LookupInt resolves an integer constant to MPICH's value.
+func LookupInt(s abi.IntSym) int {
+	switch s {
+	case abi.IntAnySource:
+		return AnySource
+	case abi.IntAnyTag:
+		return AnyTag
+	case abi.IntProcNull:
+		return ProcNull
+	case abi.IntRoot:
+		return Root
+	case abi.IntUndefined:
+		return Undefined
+	case abi.IntTagUB:
+		return TagUB
+	}
+	return Undefined
+}
+
+// ObjectClass decodes the object class from a widened MPICH handle's kind
+// bits. Values that are not a widened 32-bit handle, or whose kind bits
+// name no class, are ClassNone.
+func ObjectClass(h abi.Handle) abi.Class {
+	n := toNative(h)
+	if Widen(n) != h {
+		return abi.ClassNone
+	}
+	switch n.class() {
+	case classComm:
+		return abi.ClassComm
+	case classGroup:
+		return abi.ClassGroup
+	case classDatatype:
+		return abi.ClassType
+	case classOp:
+		return abi.ClassOp
+	case classRequest:
+		return abi.ClassRequest
+	}
+	return abi.ClassNone
+}
+
 // statusOut converts MPICH's status layout into the standard layout.
 // Source stays an MPICH-convention value (comm rank, or MPICH's PROC_NULL
 // sentinel), which is correct for a natively compiled application.
@@ -147,52 +222,13 @@ func statusOut(ms *Status, as *abi.Status) {
 func (b *Binding) ImplName() string { return "mpich" }
 
 // Lookup resolves predefined constants to MPICH's native handle values.
-func (b *Binding) Lookup(s abi.Sym) abi.Handle {
-	switch s {
-	case abi.SymCommWorld:
-		return toAbi(CommWorld)
-	case abi.SymCommSelf:
-		return toAbi(CommSelf)
-	case abi.SymCommNull:
-		return toAbi(CommNull)
-	case abi.SymGroupNull:
-		return toAbi(GroupNull)
-	case abi.SymGroupEmpty:
-		return toAbi(GroupEmpty)
-	case abi.SymTypeNull:
-		return toAbi(DatatypeNull)
-	case abi.SymOpNull:
-		return toAbi(OpNull)
-	case abi.SymRequestNull:
-		return toAbi(RequestNull)
-	}
-	if k, ok := abi.KindForSym(s); ok {
-		return toAbi(TypeHandle(k))
-	}
-	if op, ok := abi.OpForSym(s); ok {
-		return toAbi(OpHandle(op))
-	}
-	return toAbi(DatatypeNull)
-}
+func (b *Binding) Lookup(s abi.Sym) abi.Handle { return Lookup(s) }
 
 // LookupInt resolves integer constants to MPICH's native values.
-func (b *Binding) LookupInt(s abi.IntSym) int {
-	switch s {
-	case abi.IntAnySource:
-		return AnySource
-	case abi.IntAnyTag:
-		return AnyTag
-	case abi.IntProcNull:
-		return ProcNull
-	case abi.IntRoot:
-		return Root
-	case abi.IntUndefined:
-		return Undefined
-	case abi.IntTagUB:
-		return TagUB
-	}
-	return Undefined
-}
+func (b *Binding) LookupInt(s abi.IntSym) int { return LookupInt(s) }
+
+// ErrClass maps an MPICH status error code to its standard class.
+func (b *Binding) ErrClass(code int) abi.ErrClass { return ClassOfCode(code) }
 
 func (b *Binding) Send(buf []byte, count int, dtype abi.Handle, dest, tag int, comm abi.Handle) error {
 	return codeErr(b.p.Send(buf, count, toNative(dtype), dest, tag, toNative(comm)))
@@ -207,12 +243,12 @@ func (b *Binding) Recv(buf []byte, count int, dtype abi.Handle, source, tag int,
 
 func (b *Binding) Isend(buf []byte, count int, dtype abi.Handle, dest, tag int, comm abi.Handle) (abi.Handle, error) {
 	h, code := b.p.Isend(buf, count, toNative(dtype), dest, tag, toNative(comm))
-	return toAbi(h), codeErr(code)
+	return Widen(h), codeErr(code)
 }
 
 func (b *Binding) Irecv(buf []byte, count int, dtype abi.Handle, source, tag int, comm abi.Handle) (abi.Handle, error) {
 	h, code := b.p.Irecv(buf, count, toNative(dtype), source, tag, toNative(comm))
-	return toAbi(h), codeErr(code)
+	return Widen(h), codeErr(code)
 }
 
 func (b *Binding) Wait(req abi.Handle, st *abi.Status) error {
@@ -321,22 +357,22 @@ func (b *Binding) CommRank(comm abi.Handle) (int, error) {
 
 func (b *Binding) CommDup(comm abi.Handle) (abi.Handle, error) {
 	h, code := b.p.CommDup(toNative(comm))
-	return toAbi(h), codeErr(code)
+	return Widen(h), codeErr(code)
 }
 
 func (b *Binding) CommSplit(comm abi.Handle, color, key int) (abi.Handle, error) {
 	h, code := b.p.CommSplit(toNative(comm), color, key)
-	return toAbi(h), codeErr(code)
+	return Widen(h), codeErr(code)
 }
 
 func (b *Binding) CommCreate(comm, group abi.Handle) (abi.Handle, error) {
 	h, code := b.p.CommCreate(toNative(comm), toNative(group))
-	return toAbi(h), codeErr(code)
+	return Widen(h), codeErr(code)
 }
 
 func (b *Binding) CommGroup(comm abi.Handle) (abi.Handle, error) {
 	h, code := b.p.CommGroup(toNative(comm))
-	return toAbi(h), codeErr(code)
+	return Widen(h), codeErr(code)
 }
 
 func (b *Binding) CommFree(comm abi.Handle) error {
@@ -355,12 +391,12 @@ func (b *Binding) GroupRank(group abi.Handle) (int, error) {
 
 func (b *Binding) GroupIncl(group abi.Handle, ranks []int) (abi.Handle, error) {
 	h, code := b.p.GroupIncl(toNative(group), ranks)
-	return toAbi(h), codeErr(code)
+	return Widen(h), codeErr(code)
 }
 
 func (b *Binding) GroupExcl(group abi.Handle, ranks []int) (abi.Handle, error) {
 	h, code := b.p.GroupExcl(toNative(group), ranks)
-	return toAbi(h), codeErr(code)
+	return Widen(h), codeErr(code)
 }
 
 func (b *Binding) GroupTranslateRanks(g1 abi.Handle, ranks []int, g2 abi.Handle) ([]int, error) {
@@ -374,17 +410,17 @@ func (b *Binding) GroupFree(group abi.Handle) error {
 
 func (b *Binding) TypeContiguous(count int, inner abi.Handle) (abi.Handle, error) {
 	h, code := b.p.TypeContiguous(count, toNative(inner))
-	return toAbi(h), codeErr(code)
+	return Widen(h), codeErr(code)
 }
 
 func (b *Binding) TypeVector(count, blocklen, stride int, inner abi.Handle) (abi.Handle, error) {
 	h, code := b.p.TypeVector(count, blocklen, stride, toNative(inner))
-	return toAbi(h), codeErr(code)
+	return Widen(h), codeErr(code)
 }
 
 func (b *Binding) TypeIndexed(blocklens, displs []int, inner abi.Handle) (abi.Handle, error) {
 	h, code := b.p.TypeIndexed(blocklens, displs, toNative(inner))
-	return toAbi(h), codeErr(code)
+	return Widen(h), codeErr(code)
 }
 
 func (b *Binding) TypeCreateStruct(blocklens, displs []int, typs []abi.Handle) (abi.Handle, error) {
@@ -393,7 +429,7 @@ func (b *Binding) TypeCreateStruct(blocklens, displs []int, typs []abi.Handle) (
 		native[i] = toNative(t)
 	}
 	h, code := b.p.TypeCreateStruct(blocklens, displs, native)
-	return toAbi(h), codeErr(code)
+	return Widen(h), codeErr(code)
 }
 
 func (b *Binding) TypeCommit(dtype abi.Handle) error {
@@ -425,7 +461,7 @@ func (b *Binding) GetCount(st *abi.Status, dtype abi.Handle) (int, error) {
 
 func (b *Binding) OpCreate(name string, commute bool) (abi.Handle, error) {
 	h, code := b.p.OpCreate(name, commute)
-	return toAbi(h), codeErr(code)
+	return Widen(h), codeErr(code)
 }
 
 func (b *Binding) OpFree(op abi.Handle) error {
@@ -460,7 +496,7 @@ func (b *Binding) CommRevoke(comm abi.Handle) error {
 
 func (b *Binding) CommShrink(comm abi.Handle) (abi.Handle, error) {
 	h, code := b.p.CommShrink(toNative(comm))
-	return toAbi(h), codeErr(code)
+	return Widen(h), codeErr(code)
 }
 
 func (b *Binding) CommAgree(comm abi.Handle, flag uint64) (uint64, error) {
@@ -474,5 +510,5 @@ func (b *Binding) CommFailureAck(comm abi.Handle) error {
 
 func (b *Binding) CommFailureGetAcked(comm abi.Handle) (abi.Handle, error) {
 	h, code := b.p.CommFailureGetAcked(toNative(comm))
-	return toAbi(h), codeErr(code)
+	return Widen(h), codeErr(code)
 }

@@ -11,8 +11,8 @@
 // underlying implementation is swapped, which is exactly the property the
 // paper's cross-implementation restart experiment (Figure 6) relies on.
 //
-// In the README's layer diagram the shim is the standard-ABI entry of
-// the bindings-and-shims row (Section 4.2.1).
+// In the README's layer diagram the shim is the standard-dialect
+// configuration of abi.Translator (Section 4.2.1).
 package mukautuva
 
 import (
@@ -28,11 +28,9 @@ import (
 // WrapLib is one loaded wrap adapter: the implementation's function table
 // plus the extra symbols Mukautuva needs beyond the MPI API itself.
 type WrapLib struct {
-	// Table is the implementation's native function table.
+	// Table is the implementation's native function table; its ErrClass
+	// is the wrap library's MPI_Error_class symbol.
 	Table abi.FuncTable
-	// ErrClass maps the implementation's native error code space to
-	// standard classes (the MPI_Error_class symbol of the wrap library).
-	ErrClass func(code int) abi.ErrClass
 	// Version is the implementation's version banner.
 	Version string
 	// Finalize releases the lower-half library instance.
@@ -110,5 +108,7 @@ func Load(name string, w *fabric.World, rank int, cfg Config) (*Shim, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newShim(name, lib, w.Endpoint(rank), cfg), nil
+	t := abi.NewTranslator(abi.StdDialect, lib.Table, w.Endpoint(rank).Clock(),
+		cfg.PerCall, name, "mukautuva("+name+")")
+	return &Shim{Translator: t, name: name, lib: lib}, nil
 }

@@ -1,16 +1,13 @@
 package mukautuva
 
 import (
-	"repro/internal/abi"
 	"repro/internal/fabric"
 	"repro/internal/mpich"
-	"repro/internal/ops"
-	"repro/internal/types"
 )
 
 // wrap_mpich.go is the libmpich-wrap.so analog: it knows how to
-// instantiate the MPICH lower half and exposes the extra translation
-// symbols the shim needs (error-class mapping, version banner). In the
+// instantiate the MPICH lower half and exposes the extra symbols the shim
+// needs beyond the function table (version banner, finalize). In the
 // future MPI-5 world the paper anticipates, each implementation ships
 // this file itself.
 
@@ -19,22 +16,8 @@ func init() {
 		p := mpich.Init(w, rank)
 		return &WrapLib{
 			Table:    mpich.Bind(p),
-			ErrClass: mpich.ClassOfCode,
 			Version:  mpich.Version,
 			Finalize: func() { p.Finalize() },
 		}, nil
 	})
-}
-
-// kindsAndOpsSyms enumerates the predefined datatype and operator symbols
-// that the shim's translation tables must cover.
-func kindsAndOpsSyms() []abi.Sym {
-	var out []abi.Sym
-	for _, k := range types.Kinds() {
-		out = append(out, abi.SymForKind(k))
-	}
-	for _, op := range ops.Ops() {
-		out = append(out, abi.SymForOp(op))
-	}
-	return out
 }

@@ -12,7 +12,6 @@ func init() {
 		p := openmpi.Init(w, rank)
 		return &WrapLib{
 			Table:    openmpi.Bind(p),
-			ErrClass: openmpi.ClassOfCode,
 			Version:  openmpi.Version,
 			Finalize: func() { p.Finalize() },
 		}, nil

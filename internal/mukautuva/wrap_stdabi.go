@@ -17,7 +17,6 @@ func init() {
 		p := stdabi.Init(w, rank)
 		return &WrapLib{
 			Table:    stdabi.Bind(p),
-			ErrClass: stdabi.ClassOfCode,
 			Version:  stdabi.Version,
 			Finalize: func() { p.Finalize() },
 		}, nil

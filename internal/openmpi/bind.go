@@ -264,6 +264,9 @@ func (b *Binding) LookupInt(s abi.IntSym) int {
 	return Undefined
 }
 
+// ErrClass maps an Open MPI status error code to its standard class.
+func (b *Binding) ErrClass(code int) abi.ErrClass { return ClassOfCode(code) }
+
 func (b *Binding) Send(buf []byte, count int, dtype abi.Handle, dest, tag int, comm abi.Handle) error {
 	return codeErr(b.p.Send(buf, count, b.dtype(dtype), dest, tag, b.comm(comm)))
 }
@@ -296,7 +299,7 @@ func (b *Binding) Wait(req abi.Handle, st *abi.Status) error {
 	r := b.request(req)
 	code := b.p.Wait(r, &os)
 	statusOut(&os, st)
-	if r != nil {
+	if r != nil && r.Done() { // a failure of progress leaves the request live
 		delete(b.objs, uint64(req))
 	}
 	return codeErr(code)
@@ -328,8 +331,10 @@ func (b *Binding) Waitall(reqs []abi.Handle, sts []abi.Status) error {
 	for i := range os {
 		statusOut(&os[i], &sts[i])
 	}
-	for _, h := range reqs {
-		delete(b.objs, uint64(h))
+	for i, h := range reqs {
+		if r := native[i]; r != nil && r.Done() {
+			delete(b.objs, uint64(h))
+		}
 	}
 	return codeErr(code)
 }

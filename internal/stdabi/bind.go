@@ -42,6 +42,9 @@ func (b *Binding) Lookup(s abi.Sym) abi.Handle { return abi.StdLookup(s) }
 // LookupInt resolves integer constants, likewise untranslated.
 func (b *Binding) LookupInt(s abi.IntSym) int { return abi.StdLookupInt(s) }
 
+// ErrClass maps a status error code to its standard class.
+func (b *Binding) ErrClass(code int) abi.ErrClass { return ClassOfCode(code) }
+
 func (b *Binding) Send(buf []byte, count int, dtype abi.Handle, dest, tag int, comm abi.Handle) error {
 	return codeErr(b.p.rt.Send(buf, count, b.p.t(dtype), dest, tag, b.p.c(comm)))
 }

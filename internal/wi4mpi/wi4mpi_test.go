@@ -57,10 +57,16 @@ func runPreload(t *testing.T, target string, n int, fn func(p *Preload, rank int
 }
 
 func TestDialectIsMPICH(t *testing.T) {
+	w, err := fabric.NewWorld(simnet.SingleNode(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	ref := mpich.Bind(mpich.Init(w, 0))
 	runPreload(t, "openmpi", 1, func(p *Preload, rank int) error {
 		// The application sees MPICH's constants even though Open MPI runs
 		// underneath — that is the preload conceit.
-		if p.Lookup(abi.SymCommWorld) != widen(mpich.CommWorld) {
+		if p.Lookup(abi.SymCommWorld) != mpich.Widen(mpich.CommWorld) {
 			return fmt.Errorf("CommWorld not MPICH-valued: %v", p.Lookup(abi.SymCommWorld))
 		}
 		if p.LookupInt(abi.IntAnySource) != mpich.AnySource {
@@ -70,6 +76,25 @@ func TestDialectIsMPICH(t *testing.T) {
 		if p.ImplName() != "wi4mpi->openmpi" || p.Target() != "openmpi" {
 			return fmt.Errorf("identity wrong: %q %q", p.ImplName(), p.Target())
 		}
+		// The whole vocabulary, constant by constant, is the native MPICH
+		// binding's: every object constant, every integer constant, and
+		// the status code of every error class.
+		for _, sym := range abi.ObjectSyms() {
+			if got, want := p.Lookup(sym), ref.Lookup(sym); got != want {
+				return fmt.Errorf("Lookup(%d) = %v, MPICH binds %v", sym, got, want)
+			}
+		}
+		for sym := abi.IntAnySource; sym <= abi.IntTagUB; sym++ {
+			if got, want := p.LookupInt(sym), ref.LookupInt(sym); got != want {
+				return fmt.Errorf("LookupInt(%d) = %d, MPICH binds %d", sym, got, want)
+			}
+		}
+		for class := abi.ErrSuccess; class <= abi.ErrRevoked; class++ {
+			code := mpich.CodeOfClass(class)
+			if got, want := p.ErrClass(code), ref.ErrClass(code); got != want {
+				return fmt.Errorf("ErrClass(%d) = %v, MPICH says %v", code, got, want)
+			}
+		}
 		return nil
 	})
 }
@@ -78,9 +103,9 @@ func TestDialectIsMPICH(t *testing.T) {
 // unchanged over Open MPI through the translator.
 func TestMPICHProgramOverOpenMPI(t *testing.T) {
 	runPreload(t, "openmpi", 4, func(p *Preload, rank int) error {
-		world := widen(mpich.CommWorld)
-		f64 := widen(mpich.TypeHandle(types.KindFloat64))
-		sum := widen(mpich.OpHandle(ops.OpSum))
+		world := mpich.Widen(mpich.CommWorld)
+		f64 := mpich.Widen(mpich.TypeHandle(types.KindFloat64))
+		sum := mpich.Widen(mpich.OpHandle(ops.OpSum))
 		n, err := p.CommSize(world)
 		if err != nil {
 			return err
@@ -128,8 +153,8 @@ func TestMPICHProgramOverOpenMPI(t *testing.T) {
 
 func TestErrorCodesComeBackAsMPICH(t *testing.T) {
 	runPreload(t, "openmpi", 2, func(p *Preload, rank int) error {
-		world := widen(mpich.CommWorld)
-		bt := widen(mpich.TypeHandle(types.KindByte))
+		world := mpich.Widen(mpich.CommWorld)
+		bt := mpich.Widen(mpich.TypeHandle(types.KindByte))
 		if rank == 0 {
 			return p.Send(make([]byte, 64), 64, bt, 1, 0, world)
 		}
@@ -148,9 +173,9 @@ func TestErrorCodesComeBackAsMPICH(t *testing.T) {
 
 func TestDynamicObjectsThroughPreload(t *testing.T) {
 	runPreload(t, "openmpi", 4, func(p *Preload, rank int) error {
-		world := widen(mpich.CommWorld)
-		i64 := widen(mpich.TypeHandle(types.KindInt64))
-		sum := widen(mpich.OpHandle(ops.OpSum))
+		world := mpich.Widen(mpich.CommWorld)
+		i64 := mpich.Widen(mpich.TypeHandle(types.KindInt64))
+		sum := mpich.Widen(mpich.OpHandle(ops.OpSum))
 		sub, err := p.CommSplit(world, rank%2, rank)
 		if err != nil {
 			return err
@@ -174,7 +199,7 @@ func TestDynamicObjectsThroughPreload(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if null != widen(mpich.CommNull) {
+		if null != mpich.Widen(mpich.CommNull) {
 			return fmt.Errorf("undefined split = %v, want MPICH's COMM_NULL", null)
 		}
 		return nil
