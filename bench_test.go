@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -361,36 +362,51 @@ func init() {
 	RegisterProgram("test.bench.ring", func() Program { return &benchRing{Total: 20} })
 }
 
-// BenchmarkCheckpointWrite isolates the checkpoint path: quiesce, drain,
-// image write.
+// BenchmarkCheckpointWrite times the checkpoint image path: a held
+// app.wave job at quick scale on 2x4 ranks, its checkpoint registered
+// before Start so that it lands at the first safe point. ckpt-us runs
+// from Start until the image set is written (one step, the quiesce and
+// drain barriers, MANA's counter exchange, eight rank images and the
+// meta); no wall-clock sleep is involved. img-bytes is the set's size on
+// disk.
 func BenchmarkCheckpointWrite(b *testing.B) {
+	stack := benchStack(ImplMPICH, ABIMukautuva, CkptMANA)
+	scale := scenario.Quick().AppScale
+	var ckpt time.Duration
+	var imgBytes int64
 	for i := 0; i < b.N; i++ {
-		dir, err := os.MkdirTemp("", "bench-ckpt-*")
+		dir := filepath.Join(b.TempDir(), "imgs")
+		job, err := Launch(stack, "app.wave", WithConfigure(func(_ int, p Program) {
+			p.(interface{ ScaleSteps(float64) }).ScaleSteps(scale)
+		}), WithHold())
 		if err != nil {
 			b.Fatal(err)
 		}
-		stack := benchStack(ImplMPICH, ABIMukautuva, CkptMANA)
-		job, err := Launch(stack, "osu.alltoall.ckptwindow", WithConfigure(func(rank int, p Program) {
-			lb := p.(*osu.LatencyBench)
-			lb.Sizes = []int{64}
-			lb.Warmup = 2
-			lb.Iters = 4
-			lb.SleepReal = 100 * time.Millisecond
-		}))
-		if err != nil {
-			b.Fatal(err)
-		}
-		time.Sleep(15 * time.Millisecond)
+		done := job.CheckpointAsync(dir, true)
 		start := time.Now()
-		if err := job.Checkpoint(dir, true); err != nil {
+		job.Start()
+		if err := <-done; err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(time.Since(start).Microseconds()), "ckpt-us")
+		ckpt += time.Since(start)
 		if err := job.Wait(); err != nil {
 			b.Fatal(err)
 		}
-		os.RemoveAll(dir)
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		imgBytes = 0
+		for _, e := range entries {
+			info, err := e.Info()
+			if err != nil {
+				b.Fatal(err)
+			}
+			imgBytes += info.Size()
+		}
 	}
+	b.ReportMetric(float64(ckpt.Microseconds())/float64(b.N), "ckpt-us")
+	b.ReportMetric(float64(imgBytes), "img-bytes")
 }
 
 // corePolicies names each implementation's algorithm personality — the

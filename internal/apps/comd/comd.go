@@ -21,16 +21,19 @@ import (
 	"time"
 
 	"repro/internal/abi"
+	"repro/internal/apps/binstate"
 	"repro/internal/core"
 )
 
-// Particle is one atom's dynamic state (exported for gob).
+// Particle is one atom's dynamic state (checkpointed through
+// CoMD.MarshalBinary).
 type Particle struct {
 	X, Y, Z    float64
 	Vx, Vy, Vz float64
 }
 
-// CoMD is the per-rank program state.
+// CoMD is the per-rank program state. Exported fields are checkpointed,
+// through MarshalBinary.
 type CoMD struct {
 	// Parameters.
 	ParticlesPerRank int
@@ -223,6 +226,61 @@ func wrap(x, side float64) float64 {
 		x += side
 	}
 	return x
+}
+
+// MarshalBinary encodes exactly the exported fields (the state gob would
+// carry) in binstate's fixed layout, each atom as its six float64s; core
+// checkpoints CoMD through it.
+func (c *CoMD) MarshalBinary() ([]byte, error) {
+	b := binstate.NewWriter(8 * (11 + 6*len(c.Atoms)))
+	b.Int(c.ParticlesPerRank)
+	b.Int(c.Steps)
+	b.Float64(c.BoxSide)
+	b.Float64(c.Cutoff)
+	b.Float64(c.Dt)
+	b.Float64(c.ComputeNsPerPair)
+	b.Int64(c.Seed)
+	b.Int(c.Iter)
+	b.Int(len(c.Atoms))
+	for _, a := range c.Atoms {
+		b.Float64(a.X)
+		b.Float64(a.Y)
+		b.Float64(a.Z)
+		b.Float64(a.Vx)
+		b.Float64(a.Vy)
+		b.Float64(a.Vz)
+	}
+	b.Float64(c.KineticE)
+	b.Float64(c.PotentialE)
+	return b.Bytes(), nil
+}
+
+// UnmarshalBinary restores MarshalBinary's output.
+func (c *CoMD) UnmarshalBinary(raw []byte) error {
+	b := binstate.NewReader(raw)
+	c.ParticlesPerRank = b.Int()
+	c.Steps = b.Int()
+	c.BoxSide = b.Float64()
+	c.Cutoff = b.Float64()
+	c.Dt = b.Float64()
+	c.ComputeNsPerPair = b.Float64()
+	c.Seed = b.Int64()
+	c.Iter = b.Int()
+	c.Atoms = nil
+	if n := b.Len(6 * 8); n > 0 {
+		c.Atoms = make([]Particle, n)
+		for i := range c.Atoms {
+			a := &c.Atoms[i]
+			a.X, a.Y, a.Z = b.Float64(), b.Float64(), b.Float64()
+			a.Vx, a.Vy, a.Vz = b.Float64(), b.Float64(), b.Float64()
+		}
+	}
+	c.KineticE = b.Float64()
+	c.PotentialE = b.Float64()
+	if err := b.Done(); err != nil {
+		return fmt.Errorf("comd: %w", err)
+	}
+	return nil
 }
 
 func init() {

@@ -18,10 +18,12 @@ import (
 	"time"
 
 	"repro/internal/abi"
+	"repro/internal/apps/binstate"
 	"repro/internal/core"
 )
 
-// Wave is the per-rank program state. Exported fields are checkpointed.
+// Wave is the per-rank program state. Exported fields are checkpointed,
+// through MarshalBinary.
 type Wave struct {
 	// Parameters (set at launch).
 	GlobalPoints int     // total grid points
@@ -186,6 +188,43 @@ func noise(seed, iter, rank int64) float64 {
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
 	return float64(x%1000000) / 1000000
+}
+
+// MarshalBinary encodes exactly the exported fields (the state gob would
+// carry) in binstate's fixed layout; core checkpoints Wave through it.
+// lo and hi are not stored: Step recomputes them after a restart.
+func (w *Wave) MarshalBinary() ([]byte, error) {
+	b := binstate.NewWriter(8 * (10 + len(w.UPrev) + len(w.U)))
+	b.Int(w.GlobalPoints)
+	b.Int(w.Steps)
+	b.Float64(w.C)
+	b.Float64(w.Dt)
+	b.Float64(w.ComputeNsPerPoint)
+	b.Int64(w.Seed)
+	b.Int(w.Iter)
+	b.Float64s(w.UPrev)
+	b.Float64s(w.U)
+	b.Float64(w.Checked)
+	return b.Bytes(), nil
+}
+
+// UnmarshalBinary restores MarshalBinary's output.
+func (w *Wave) UnmarshalBinary(raw []byte) error {
+	b := binstate.NewReader(raw)
+	w.GlobalPoints = b.Int()
+	w.Steps = b.Int()
+	w.C = b.Float64()
+	w.Dt = b.Float64()
+	w.ComputeNsPerPoint = b.Float64()
+	w.Seed = b.Int64()
+	w.Iter = b.Int()
+	w.UPrev = b.Float64s()
+	w.U = b.Float64s()
+	w.Checked = b.Float64()
+	if err := b.Done(); err != nil {
+		return fmt.Errorf("wavempi: %w", err)
+	}
+	return nil
 }
 
 func init() {

@@ -16,6 +16,7 @@ package core
 
 import (
 	"bytes"
+	"encoding"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -204,10 +205,42 @@ func DefaultStack(impl Impl, abiMode ABIMode, ckpt CkptMode) Stack {
 //     nonblocking request is completed before Step returns;
 //   - the concrete type's exported fields are the rank's "upper-half
 //     memory": they are gob-serialized into checkpoint images and restored
-//     on restart (Go cannot snapshot goroutine stacks; see DESIGN.md).
+//     on restart (Go cannot snapshot goroutine stacks; see DESIGN.md);
+//   - a program that implements both encoding.BinaryMarshaler and
+//     encoding.BinaryUnmarshaler is serialized through that pair instead
+//     of gob. UnmarshalBinary runs on a fresh factory instance and must
+//     restore every field gob would have carried; app.wave and app.comd
+//     do this with a fixed layout, which keeps gob's per-element varints
+//     off the checkpoint path.
 type Program interface {
 	Setup(env *abi.Env) error
 	Step(env *abi.Env) (done bool, err error)
+}
+
+// binaryProgram is a Program that serializes its own state.
+type binaryProgram interface {
+	encoding.BinaryMarshaler
+	encoding.BinaryUnmarshaler
+}
+
+// encodeProgram serializes a rank's program state for its image.
+func encodeProgram(p Program) ([]byte, error) {
+	if bp, ok := p.(binaryProgram); ok {
+		return bp.MarshalBinary()
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// decodeProgram restores encodeProgram's output into a fresh instance.
+func decodeProgram(raw []byte, p Program) error {
+	if bp, ok := p.(binaryProgram); ok {
+		return bp.UnmarshalBinary(raw)
+	}
+	return gob.NewDecoder(bytes.NewReader(raw)).Decode(p)
 }
 
 // programReg maps program names to factories so images can be decoded.
@@ -217,7 +250,10 @@ var programReg = struct {
 }{m: make(map[string]func() Program)}
 
 // RegisterProgram installs a program factory under a stable name, the gob
-// analog of registering a concrete type. Call from package init.
+// analog of registering a concrete type. Call from package init. Restart
+// decodes each rank's state into a fresh factory instance: by gob over
+// the exported fields, or through UnmarshalBinary when the program
+// implements the binary-marshaler pair (see Program).
 func RegisterProgram(name string, factory func() Program) {
 	programReg.Lock()
 	defer programReg.Unlock()
@@ -581,7 +617,7 @@ func (j *Job) runRank(rank int, resumed bool, startStep uint64) {
 			fail(fmt.Errorf("core: restart requires the MANA layer in the stack"))
 			return
 		}
-		if err := gob.NewDecoder(bytes.NewReader(img.ProgState)).Decode(prog); err != nil {
+		if err := decodeProgram(img.ProgState, prog); err != nil {
 			fail(fmt.Errorf("core: decoding program state: %w", err))
 			return
 		}
@@ -675,13 +711,7 @@ func (j *Job) runRank(rank int, resumed bool, startStep uint64) {
 			}
 			continue
 		}
-		decision, err := agent.SafePoint(func() ([]byte, error) {
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(prog); err != nil {
-				return nil, err
-			}
-			return buf.Bytes(), nil
-		}, plugin)
+		decision, err := agent.SafePoint(func() ([]byte, error) { return encodeProgram(prog) }, plugin)
 		if err != nil {
 			fail(fmt.Errorf("safe point: %w", err))
 			return

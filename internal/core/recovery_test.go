@@ -334,6 +334,60 @@ func TestPeriodicCheckpointLineage(t *testing.T) {
 	}
 }
 
+// A torn rank image under a valid meta must not pass as complete: a kill
+// between creating and filling the file (empty), a short write (half),
+// and a damaged byte (flipped payload) each make LatestComplete fall back
+// to the set before, and a restart from the damaged set fail naming the
+// rank.
+func TestTornImageSetSkipped(t *testing.T) {
+	root := t.TempDir()
+	stack := twoNodeStack(ImplMPICH, ABIMukautuva, CkptMANA, 1)
+	job, err := Launch(stack, "test.lockstep.short", WithPeriodicCheckpoint(root, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := job.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	newest := dmtcp.PeriodicDir(root, 9)
+	img := filepath.Join(newest, "rank_0003.img")
+	good, err := os.ReadFile(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := append([]byte(nil), good...)
+	flipped[len(flipped)-1] ^= 0x01
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"empty", nil},
+		{"half", good[:len(good)/2]},
+		{"flipped", flipped},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := os.WriteFile(img, tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { os.WriteFile(img, good, 0o644) })
+			dir, meta, ok := dmtcp.LatestComplete(root, 4)
+			if !ok || meta.Step != 6 || dir != dmtcp.PeriodicDir(root, 6) {
+				t.Fatalf("LatestComplete = %q step %d ok=%v, want the step-6 set", dir, meta.Step, ok)
+			}
+			restarted, err := Restart(newest, stack)
+			if err == nil {
+				err = restarted.Wait()
+			}
+			if err == nil || !strings.Contains(err.Error(), "rank 3") {
+				t.Fatalf("restart from the torn set: err = %v, want a failure naming rank 3", err)
+			}
+		})
+	}
+	if _, meta, ok := dmtcp.LatestComplete(root, 4); !ok || meta.Step != 9 {
+		t.Fatalf("repaired set not chosen: step %d ok=%v", meta.Step, ok)
+	}
+}
+
 func TestPeriodicCheckpointRequiresCheckpointer(t *testing.T) {
 	stack := twoNodeStack(ImplMPICH, ABINative, CkptNone, 1)
 	if _, err := Launch(stack, "test.lockstep", WithPeriodicCheckpoint(t.TempDir(), 2)); err == nil {

@@ -19,11 +19,37 @@
 // mana entry of the bindings-and-translator row (Section 3 of the paper);
 // internal/mana registers as its MPI plugin, exactly as MANA is a DMTCP
 // plugin in the paper.
+//
+// # Image sets
+//
+// A checkpoint writes one directory: meta.gob (the set's Meta, gob, written
+// by rank 0) and one rank_NNNN.img per rank. A rank image is a fixed
+// little-endian header followed by the rank's program state and its plugin
+// blob, encoded into one exactly-sized buffer and written with one call:
+//
+//	offset size field
+//	     0    4 magic "DMRI"
+//	     4    4 format version (1)
+//	     8    4 CRC-32C (Castagnoli) of bytes [12, end): the rest of
+//	            the header and the payload
+//	    12    4 rank
+//	    16    8 step
+//	    24    8 clock (virtual ns at checkpoint)
+//	    32    8 len(ProgState)
+//	    40    8 len(PluginBlob)
+//	    48      ProgState, then PluginBlob
+//
+// The file is exactly header plus payload long, so a torn write (a short
+// or empty file) shows up as a length mismatch and a damaged byte as a CRC
+// mismatch. ReadRankImage rejects both, and LatestComplete skips a set
+// with any such image.
 package dmtcp
 
 import (
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -60,9 +86,9 @@ type Meta struct {
 	NetSeed int64
 }
 
-// RankImage is one rank's checkpoint image (rank_NNN.img). ProgState and
-// PluginBlob are opaque to DMTCP, mirroring how the real coordinator
-// treats process memory and plugin data.
+// RankImage is one rank's checkpoint image (rank_NNNN.img; layout in the
+// package doc). ProgState and PluginBlob are opaque to DMTCP, mirroring
+// how the real coordinator treats process memory and plugin data.
 type RankImage struct {
 	Rank       int
 	Step       uint64
@@ -354,23 +380,80 @@ func (a *Agent) runCheckpoint(req *ckptRequest, serialize func() ([]byte, error)
 
 // --- image file I/O ---
 
+// The rank image layout is described in the package doc.
+const (
+	imageMagic   = "DMRI"
+	imageVersion = 1
+	imageHeader  = 48
+)
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
 func rankImagePath(dir string, rank int) string {
 	return filepath.Join(dir, fmt.Sprintf("rank_%04d.img", rank))
 }
 
 func metaPath(dir string) string { return filepath.Join(dir, "meta.gob") }
 
+// encodeRankImage lays img out in one exactly-sized buffer.
+func encodeRankImage(img RankImage) []byte {
+	buf := make([]byte, imageHeader+len(img.ProgState)+len(img.PluginBlob))
+	le := binary.LittleEndian
+	copy(buf, imageMagic)
+	le.PutUint32(buf[4:], imageVersion)
+	le.PutUint32(buf[12:], uint32(img.Rank))
+	le.PutUint64(buf[16:], img.Step)
+	le.PutUint64(buf[24:], uint64(img.Clock))
+	le.PutUint64(buf[32:], uint64(len(img.ProgState)))
+	le.PutUint64(buf[40:], uint64(len(img.PluginBlob)))
+	n := copy(buf[imageHeader:], img.ProgState)
+	copy(buf[imageHeader+n:], img.PluginBlob)
+	le.PutUint32(buf[8:], crc32.Checksum(buf[12:], castagnoli))
+	return buf
+}
+
+// decodeRankImage parses an encoded image. ProgState and PluginBlob are
+// sub-slices of raw (nil when empty).
+func decodeRankImage(raw []byte) (RankImage, error) {
+	if len(raw) < imageHeader {
+		return RankImage{}, fmt.Errorf("short image: %d bytes, header needs %d", len(raw), imageHeader)
+	}
+	le := binary.LittleEndian
+	if string(raw[:4]) != imageMagic {
+		return RankImage{}, fmt.Errorf("bad magic %q", raw[:4])
+	}
+	if v := le.Uint32(raw[4:]); v != imageVersion {
+		return RankImage{}, fmt.Errorf("unsupported image version %d", v)
+	}
+	ns, nb := le.Uint64(raw[32:]), le.Uint64(raw[40:])
+	payload := uint64(len(raw) - imageHeader)
+	if ns > payload || nb != payload-ns {
+		return RankImage{}, fmt.Errorf("length mismatch: header says %d+%d payload bytes, file has %d", ns, nb, payload)
+	}
+	if crc := crc32.Checksum(raw[12:], castagnoli); crc != le.Uint32(raw[8:]) {
+		return RankImage{}, fmt.Errorf("CRC mismatch: stored %#08x, computed %#08x", le.Uint32(raw[8:]), crc)
+	}
+	img := RankImage{
+		Rank:  int(le.Uint32(raw[12:])),
+		Step:  le.Uint64(raw[16:]),
+		Clock: int64(le.Uint64(raw[24:])),
+	}
+	body := raw[imageHeader:]
+	if ns > 0 {
+		img.ProgState = body[:ns:ns]
+	}
+	if nb > 0 {
+		img.PluginBlob = body[ns:]
+	}
+	return img, nil
+}
+
 func writeRankImage(dir string, img RankImage) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("dmtcp: creating image dir: %w", err)
 	}
-	f, err := os.Create(rankImagePath(dir, img.Rank))
-	if err != nil {
-		return fmt.Errorf("dmtcp: creating rank image: %w", err)
-	}
-	defer f.Close()
-	if err := gob.NewEncoder(f).Encode(img); err != nil {
-		return fmt.Errorf("dmtcp: encoding rank image: %w", err)
+	if err := os.WriteFile(rankImagePath(dir, img.Rank), encodeRankImage(img), 0o644); err != nil {
+		return fmt.Errorf("dmtcp: writing rank %d image: %w", img.Rank, err)
 	}
 	return nil
 }
@@ -398,10 +481,11 @@ func PeriodicDir(root string, step uint64) string {
 
 // LatestComplete scans root for periodic image sets and returns the most
 // recent complete one: meta present and decodable, the expected rank
-// count (nranks; 0 accepts any), and every rank's image file on disk. A
+// count (nranks; 0 accepts any), and every rank's image present and
+// intact (it decodes as ReadRankImage would: header, lengths, CRC). A
 // checkpoint interrupted by the failure it was meant to survive leaves a
-// partial directory, which the scan skips — recovery falls back to the
-// image before it.
+// partial directory or a torn image, which the scan skips — recovery
+// falls back to the image set before it.
 func LatestComplete(root string, nranks int) (dir string, meta Meta, ok bool) {
 	entries, err := os.ReadDir(root)
 	if err != nil {
@@ -420,7 +504,7 @@ func LatestComplete(root string, nranks int) (dir string, meta Meta, ok bool) {
 		}
 		complete := true
 		for r := 0; r < m.NumRanks; r++ {
-			if _, err := os.Stat(rankImagePath(d, r)); err != nil {
+			if _, err := ReadRankImage(d, r); err != nil {
 				complete = false
 				break
 			}
@@ -446,16 +530,18 @@ func ReadMeta(dir string) (Meta, error) {
 	return meta, nil
 }
 
-// ReadRankImage loads one rank's image from a checkpoint directory.
+// ReadRankImage loads one rank's image from a checkpoint directory. It
+// rejects a short file, a bad magic or version, a length mismatch, a CRC
+// mismatch and an image of another rank. ProgState and PluginBlob share
+// the one buffer the file was read into.
 func ReadRankImage(dir string, rank int) (RankImage, error) {
-	var img RankImage
-	f, err := os.Open(rankImagePath(dir, rank))
+	raw, err := os.ReadFile(rankImagePath(dir, rank))
 	if err != nil {
-		return img, fmt.Errorf("dmtcp: opening rank image: %w", err)
+		return RankImage{}, fmt.Errorf("dmtcp: reading rank %d image: %w", rank, err)
 	}
-	defer f.Close()
-	if err := gob.NewDecoder(f).Decode(&img); err != nil {
-		return img, fmt.Errorf("dmtcp: decoding rank image: %w", err)
+	img, err := decodeRankImage(raw)
+	if err != nil {
+		return RankImage{}, fmt.Errorf("dmtcp: rank %d image: %w", rank, err)
 	}
 	if img.Rank != rank {
 		return img, fmt.Errorf("dmtcp: image rank %d does not match file for rank %d", img.Rank, rank)

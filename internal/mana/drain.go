@@ -2,8 +2,10 @@ package mana
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"slices"
 
 	"repro/internal/abi"
 )
@@ -49,11 +51,7 @@ func (w *Wrapper) PreCheckpoint() ([]byte, error) {
 		}
 		pub[info.gid] = wireCounts{MyRank: info.myRank, SentTo: counts}
 	}
-	payload, err := gobBytes(pub)
-	if err != nil {
-		return nil, fmt.Errorf("mana: encoding counters: %w", err)
-	}
-	all := w.oob.Exchange(w.rank, payload)
+	all := w.oob.Exchange(w.rank, encodeCounts(pub))
 	if all == nil {
 		return nil, fmt.Errorf("mana: world closed during counter exchange")
 	}
@@ -62,9 +60,11 @@ func (w *Wrapper) PreCheckpoint() ([]byte, error) {
 		if len(raw) == 0 {
 			continue
 		}
-		if err := gobValue(raw, &peers[i]); err != nil {
+		p, err := decodeCounts(raw)
+		if err != nil {
 			return nil, fmt.Errorf("mana: decoding counters from rank %d: %w", i, err)
 		}
+		peers[i] = p
 	}
 	// Drain the deficit on every communicator I belong to.
 	for vid, info := range w.comms {
@@ -152,6 +152,74 @@ func (w *Wrapper) Restore(blobBytes []byte) error {
 		w.buffered = make(map[abi.Handle][]Drained)
 	}
 	return nil
+}
+
+// encodeCounts lays out a rank's published counters in a fixed
+// little-endian encoding, communicators sorted by gid and peers by rank,
+// so equal maps encode to equal bytes:
+//
+//	u32 ncomms
+//	ncomms x { u64 gid, i32 myRank, u32 npeers, npeers x { i32 rank, u64 sent } }
+func encodeCounts(pub map[uint64]wireCounts) []byte {
+	gids := make([]uint64, 0, len(pub))
+	size := 4
+	for gid, wc := range pub {
+		gids = append(gids, gid)
+		size += 16 + 12*len(wc.SentTo)
+	}
+	slices.Sort(gids)
+	buf := make([]byte, 0, size)
+	le := binary.LittleEndian
+	buf = le.AppendUint32(buf, uint32(len(gids)))
+	var ranks []int
+	for _, gid := range gids {
+		wc := pub[gid]
+		buf = le.AppendUint64(buf, gid)
+		buf = le.AppendUint32(buf, uint32(int32(wc.MyRank)))
+		buf = le.AppendUint32(buf, uint32(len(wc.SentTo)))
+		ranks = ranks[:0]
+		for r := range wc.SentTo {
+			ranks = append(ranks, r)
+		}
+		slices.Sort(ranks)
+		for _, r := range ranks {
+			buf = le.AppendUint32(buf, uint32(int32(r)))
+			buf = le.AppendUint64(buf, wc.SentTo[r])
+		}
+	}
+	return buf
+}
+
+// decodeCounts parses an encodeCounts payload, rejecting a short or
+// overlong one.
+func decodeCounts(raw []byte) (map[uint64]wireCounts, error) {
+	le := binary.LittleEndian
+	if len(raw) < 4 {
+		return nil, fmt.Errorf("short counter payload: %d bytes", len(raw))
+	}
+	ncomms := le.Uint32(raw)
+	raw = raw[4:]
+	out := make(map[uint64]wireCounts, min(int(ncomms), len(raw)/16))
+	for c := uint32(0); c < ncomms; c++ {
+		if len(raw) < 16 {
+			return nil, fmt.Errorf("short counter payload: communicator %d of %d truncated", c+1, ncomms)
+		}
+		gid, myRank, npeers := le.Uint64(raw), int32(le.Uint32(raw[8:])), le.Uint32(raw[12:])
+		raw = raw[16:]
+		if uint64(len(raw)) < 12*uint64(npeers) {
+			return nil, fmt.Errorf("short counter payload: gid %#x lists %d peers in %d bytes", gid, npeers, len(raw))
+		}
+		sent := make(map[int]uint64, npeers)
+		for p := uint32(0); p < npeers; p++ {
+			sent[int(int32(le.Uint32(raw)))] = le.Uint64(raw[4:])
+			raw = raw[12:]
+		}
+		out[gid] = wireCounts{MyRank: int(myRank), SentTo: sent}
+	}
+	if len(raw) != 0 {
+		return nil, fmt.Errorf("counter payload has %d trailing bytes", len(raw))
+	}
+	return out, nil
 }
 
 func gobBytes(v any) ([]byte, error) {

@@ -227,7 +227,10 @@ func RunWithReplication(stack Stack, program string, inj *FaultInjector, pol Rep
 }
 
 // RegisterProgram installs an application under a stable name so it can be
-// launched and its checkpoints decoded.
+// launched and its checkpoints decoded. A program's checkpointed state is
+// its exported fields, gob-encoded; a program that implements both
+// encoding.BinaryMarshaler and encoding.BinaryUnmarshaler is serialized
+// through that pair instead (see core.Program).
 func RegisterProgram(name string, factory func() Program) {
 	core.RegisterProgram(name, factory)
 }
